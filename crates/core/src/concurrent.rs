@@ -2576,10 +2576,25 @@ impl<F: SelectionFn, P: ValidityPredicate> ConcurrentBlockTree<F, P> {
     /// minted into the arena) *and* covered by a publication — the same
     /// instant its committer may be told so, which keeps this answer
     /// consistent with `read()` now that publication trails the
-    /// membership insert by a pipeline stage. Takes the selection lock
-    /// briefly for the position lookup.
+    /// membership insert by a pipeline stage.
+    ///
+    /// A block at its own height in the published chain answers yes off
+    /// one epoch-pinned `read()`, without the lock: the chain holds only
+    /// published commits. This also closes the window after the pointer
+    /// swap and before `published_upto` moves, in which a chain block is
+    /// already readable (so `wait_committed` returns and a caller may
+    /// anchor on it) but the position check below would still say no.
+    /// Members off the published chain take the selection lock briefly
+    /// for the position lookup.
     pub fn is_committed(&self, id: BlockId) -> bool {
         if id == BlockId::GENESIS {
+            return true;
+        }
+        if !self.store.has_block(id) {
+            return false;
+        }
+        let height = self.store.meta(id).height as usize;
+        if self.read().ids().get(height) == Some(&id) {
             return true;
         }
         let pos = {
@@ -2600,8 +2615,8 @@ impl<F: SelectionFn, P: ValidityPredicate> ConcurrentBlockTree<F, P> {
     /// owns the stall diagnostic (the commit is another thread's
     /// obligation, so only the caller knows who wedged).
     ///
-    /// The probe is lock-free — a chain block sits at the index equal to
-    /// its height in the published prefix, and commits stage their
+    /// The probe is [`is_committed`](Self::is_committed) — lock-free for
+    /// a block on the published chain, and commits stage their
     /// publication inside the same critical section as their insert, so
     /// most waits resolve off one epoch-pinned `read()` — and between
     /// probes the waiter *parks*
@@ -2614,23 +2629,18 @@ impl<F: SelectionFn, P: ValidityPredicate> ConcurrentBlockTree<F, P> {
     ///
     /// [`wait_commit_past`]: Self::wait_commit_past
     pub fn wait_committed(&self, id: BlockId, deadline: std::time::Instant) -> bool {
-        let height = self.store.meta(id).height as usize;
         loop {
-            // Generation first, probes second: a commit landing after the
-            // probes bumps the generation and the park below returns
-            // immediately — no missed wakeup.
+            // Generation first, probe second: a commit landing after the
+            // probe bumps the generation and the park below returns
+            // immediately — no missed wakeup. A member *off* the selected
+            // chain costs the probe the selection lock; we take it at most
+            // once per commit generation, so a pack of waiters cannot
+            // convoy the very lock the committer needs for the graft.
             let gen = self.commit_generation();
-            if self.read().ids().get(height) == Some(&id) {
-                return true;
-            }
-            // The selection lock answers for members *off* the selected
-            // chain too; we take it at most once per commit generation,
-            // so a pack of waiters cannot convoy the very lock the
-            // committer needs for the graft.
             if self.is_committed(id) {
                 return true;
             }
-            // Poisoned: no further commit can land, so the probes above
+            // Poisoned: no further commit can land, so the probe above
             // already gave the final answer.
             if self.is_poisoned() || std::time::Instant::now() >= deadline {
                 return self.is_committed(id);

@@ -18,11 +18,14 @@
 //! semantics, kept as the specification oracle. The hot path uses
 //! [`SelectionFn::on_insert`] instead: given the tip selected *before* a
 //! block joined the tree, it answers how the selection changes, in O(log n)
-//! for the chain rules and O(depth of the insert) for GHOST. Callers
+//! for the chain rules and — for GHOST — O(log n) plus one hop per block
+//! between the insert and the selected chain (a reorg adds
+//! O(|changed suffix| · log n)). Callers
 //! (see [`crate::tipcache::ChainCache`]) own a [`SelectionAux`] scratch
 //! holding whatever per-tree state a rule maintains (GHOST: subtree
-//! weights), which keeps this trait object-safe and the selection values
-//! themselves stateless and shareable, as the paper requires.
+//! weights kept relative to the selected chain), which keeps this trait
+//! object-safe and the selection values themselves stateless and
+//! shareable, as the paper requires.
 //!
 //! `on_insert` may assume:
 //!
@@ -37,7 +40,6 @@
 use crate::ids::BlockId;
 use crate::store::{BlockView, TreeMembership};
 use std::cmp::Ordering;
-use std::collections::BTreeMap;
 
 /// How the selected tip changed when one block joined the tree — the
 /// result of the incremental path of a [`SelectionFn`].
@@ -54,14 +56,31 @@ pub enum TipUpdate {
 }
 
 /// Per-tree scratch state for incremental selection, owned by the caller
-/// and threaded through [`SelectionFn::on_insert`]. Chain rules ignore it;
-/// GHOST maintains its subtree weights here.
+/// and threaded through [`SelectionFn::on_insert`]. Chain rules keep only
+/// a memoized tip score here; GHOST keeps its subtree weights *relative to
+/// the selected chain* `c_0 … c_T`:
+///
+/// * `chain[h] = c_h`, the selected chain by height;
+/// * a Fenwick tree over `own(c_h) + side[h]`, where `side[h]` sums the
+///   subtree weights of the member children of `c_h` that are *not* on
+///   the chain — so a chain block weighs the suffix sum
+///   `weight(c_k) = Σ_{j≥k} (own(c_j) + side[j])`, one O(log n) query;
+/// * an explicit subtree weight for every member *off* the chain.
+///
+/// An insert then touches only the explicit weights between it and the
+/// chain plus one Fenwick entry, instead of every ancestor up to genesis.
 #[derive(Clone, Debug, Default)]
 pub struct SelectionAux {
-    /// GHOST: weight of the membership subtree rooted at each block
-    /// (indexed by arena slot; non-members weigh 0).
+    /// GHOST: subtree weight of each member block off the selected chain
+    /// (indexed by arena slot; non-members weigh 0). Entries of chain
+    /// blocks go stale while they are on the chain and are rewritten when
+    /// a reorg moves them off it.
     subtree_weight: Vec<u64>,
-    /// Whether `subtree_weight` reflects the current tree (rules
+    /// GHOST: the selected chain by height (`chain[0]` is genesis).
+    chain: Vec<BlockId>,
+    /// GHOST: `own(chain[h]) + side[h]` for every chain height.
+    spine: Fenwick,
+    /// Whether the GHOST state reflects the current tree (rules
     /// initialize lazily on first use).
     ready: bool,
     /// Chain rules: the current tip's memoized score. A block's score
@@ -80,6 +99,8 @@ impl SelectionAux {
     /// Drops any maintained state, forcing re-initialization on next use.
     pub fn reset(&mut self) {
         self.subtree_weight.clear();
+        self.chain.clear();
+        self.spine.truncate(0);
         self.ready = false;
         self.tip_score = None;
     }
@@ -92,17 +113,103 @@ impl SelectionAux {
         self.ready
     }
 
+    /// GHOST's subtree weight of the member `id` as the maintained state
+    /// derives it: a suffix query for a chain block, the explicit entry
+    /// otherwise. Exposed for the representation-invariant tests, which
+    /// compare it against a full recompute; not part of the selection
+    /// contract.
+    #[doc(hidden)]
+    pub fn derived_ghost_weight(&self, store: &dyn BlockView, id: BlockId) -> u64 {
+        let h = store.height(id) as usize;
+        if self.chain.get(h) == Some(&id) {
+            self.chain_weight(h)
+        } else {
+            self.weight(id)
+        }
+    }
+
+    /// GHOST's selected tip as the maintained chain records it.
+    #[inline]
+    fn chain_tip(&self) -> Option<BlockId> {
+        self.chain.last().copied()
+    }
+
+    /// Subtree weight of the chain block at height `h`: the suffix sum of
+    /// the spine from `h`.
+    #[inline]
+    fn chain_weight(&self, h: usize) -> u64 {
+        self.spine.suffix(h)
+    }
+
     #[inline]
     fn weight(&self, id: BlockId) -> u64 {
         self.subtree_weight.get(id.index()).copied().unwrap_or(0)
     }
 
     #[inline]
-    fn add_weight(&mut self, id: BlockId, w: u64) {
+    fn slot(&mut self, id: BlockId) -> &mut u64 {
         if self.subtree_weight.len() <= id.index() {
             self.subtree_weight.resize(id.index() + 1, 0);
         }
-        self.subtree_weight[id.index()] += w;
+        &mut self.subtree_weight[id.index()]
+    }
+}
+
+/// A Fenwick (binary indexed) tree over a growable array of weights:
+/// O(log n) point update, prefix sum and push, O(1) truncate. Sums wrap,
+/// so a point update may carry a negative delta as its two's complement;
+/// every sum the rule reads is a true (non-negative) subtree weight.
+#[derive(Clone, Debug, Default)]
+struct Fenwick {
+    /// `tree[i]` holds the sum of entries `i + 1 - lowbit(i + 1) ..= i`.
+    tree: Vec<u64>,
+}
+
+impl Fenwick {
+    /// Appends `v`. The new node covers `lowbit(n)` entries ending at it:
+    /// `v` plus the nodes at `n - 1, n - 2, n - 4, …` (1-based), which
+    /// tile the rest of that range exactly.
+    fn push(&mut self, v: u64) {
+        let n = self.tree.len() + 1;
+        let low = n & n.wrapping_neg();
+        let mut sum = v;
+        let mut k = 1;
+        while k < low {
+            sum = sum.wrapping_add(self.tree[n - k - 1]);
+            k <<= 1;
+        }
+        self.tree.push(sum);
+    }
+
+    /// Keeps the first `len` entries. Every surviving node covers a range
+    /// inside them, so nothing needs recomputing.
+    fn truncate(&mut self, len: usize) {
+        self.tree.truncate(len);
+    }
+
+    /// Adds `delta` (wrapping) to entry `i`.
+    fn add(&mut self, i: usize, delta: u64) {
+        let mut n = i + 1;
+        while n <= self.tree.len() {
+            self.tree[n - 1] = self.tree[n - 1].wrapping_add(delta);
+            n += n & n.wrapping_neg();
+        }
+    }
+
+    /// Sum of the first `len` entries.
+    fn prefix(&self, len: usize) -> u64 {
+        let mut n = len;
+        let mut sum = 0u64;
+        while n > 0 {
+            sum = sum.wrapping_add(self.tree[n - 1]);
+            n &= n - 1;
+        }
+        sum
+    }
+
+    /// Sum of the entries from `i` to the end.
+    fn suffix(&self, i: usize) -> u64 {
+        self.prefix(self.tree.len()).wrapping_sub(self.prefix(i))
     }
 }
 
@@ -648,23 +755,27 @@ impl Default for Ghost {
 impl Ghost {
     /// The standalone weight of one member block under this rule.
     #[inline]
-    fn own_weight(&self, store: &dyn BlockView, id: BlockId) -> u64 {
+    fn own_weight(&self, meta: &crate::store::BlockMeta) -> u64 {
         match self.weight {
             GhostWeight::BlockCount => 1,
-            GhostWeight::Work => store.work_of(id).max(1),
+            GhostWeight::Work => meta.work.max(1),
         }
     }
 
-    /// Rebuilds `aux`'s subtree weights from scratch (used on first
-    /// incremental call and after a cache reset).
+    /// Rebuilds `aux` from scratch: every subtree weight in one reverse
+    /// pass, then the chain by greedy descent from genesis. Runs on the
+    /// first incremental call and after a reset.
     fn init_aux(&self, store: &dyn BlockView, tree: &TreeMembership, aux: &mut SelectionAux) {
         aux.subtree_weight = self.subtree_weights(store, tree);
+        aux.chain.clear();
+        aux.spine.truncate(0);
         aux.ready = true;
+        self.descend(store, tree, aux, BlockId::GENESIS, None);
     }
 
-    /// The heaviest member child of `cur` under the maintained weights
-    /// (`None` if `cur` is a member leaf). Tie-break: larger digest, same
-    /// as the full scan.
+    /// The heaviest member child of the off-chain block `cur` under the
+    /// explicit weights (`None` if `cur` is a member leaf). Tie-break:
+    /// larger digest, same as the full scan.
     fn heaviest_child(
         &self,
         store: &dyn BlockView,
@@ -678,36 +789,124 @@ impl Ghost {
                 return;
             }
             best = Some(match best {
-                None => c,
-                Some(b) => match aux.weight(c).cmp(&aux.weight(b)) {
-                    Ordering::Greater => c,
-                    Ordering::Less => b,
-                    Ordering::Equal => {
-                        if store.digest_of(c) > store.digest_of(b) {
-                            c
-                        } else {
-                            b
-                        }
-                    }
-                },
+                Some(b) if !heavier(store, (aux.weight(c), c), (aux.weight(b), b)) => b,
+                _ => c,
             });
         });
         best
     }
 
-    /// Greedy descent from `from` to a member leaf under the maintained
-    /// weights.
+    /// Greedy descent from `from` — genesis on a rebuild, otherwise a
+    /// member whose whole subtree is off the chain, so its weights are
+    /// explicit — appending each step to the chain with its spine entry
+    /// `weight(c) − weight(next)`, i.e. `own(c) + side(c)`. `leaf` names a
+    /// block known to have no member children (a fresh single insert),
+    /// which spares its child scan.
     fn descend(
         &self,
         store: &dyn BlockView,
         tree: &TreeMembership,
-        aux: &SelectionAux,
+        aux: &mut SelectionAux,
         mut from: BlockId,
-    ) -> BlockId {
-        while let Some(next) = self.heaviest_child(store, tree, aux, from) {
-            from = next;
+        leaf: Option<BlockId>,
+    ) {
+        loop {
+            let next = if leaf == Some(from) {
+                None
+            } else {
+                self.heaviest_child(store, tree, aux, from)
+            };
+            let below = next.map_or(0, |n| aux.weight(n));
+            aux.chain.push(from);
+            aux.spine.push(aux.weight(from) - below);
+            match next {
+                Some(n) => from = n,
+                None => return,
+            }
         }
-        from
+    }
+
+    /// Adds `w` to the explicit weight of the off-chain member `id` (whose
+    /// parent `parent` sits at height `h`) and of each off-chain ancestor,
+    /// until the walk reaches the chain; there `w` lands in the chain
+    /// block's spine entry. Returns the fork: the chain height reached and
+    /// the off-chain child of the chain on the walked path.
+    fn fold(
+        store: &dyn BlockView,
+        aux: &mut SelectionAux,
+        mut id: BlockId,
+        mut parent: BlockId,
+        mut h: usize,
+        w: u64,
+    ) -> (usize, BlockId) {
+        loop {
+            *aux.slot(id) += w;
+            if aux.chain.get(h) == Some(&parent) {
+                aux.spine.add(h, w);
+                return (h, id);
+            }
+            id = parent;
+            parent = store.parent(id).expect("genesis is on every chain");
+            h -= 1;
+        }
+    }
+
+    /// Re-selects after new weight reached the chain at the forks
+    /// `touches` (sorted `(height, off-chain child)` pairs). Forks are
+    /// visited root-most first; at each, the chain child keeps its place
+    /// unless a touched sibling now outweighs it — the untouched siblings
+    /// lost to it before, and it only gained. The first flip rebases the
+    /// chain, and nothing below it needs a look. Returns the flip height.
+    fn settle(
+        &self,
+        store: &dyn BlockView,
+        tree: &TreeMembership,
+        aux: &mut SelectionAux,
+        touches: &[(usize, BlockId)],
+        leaf: Option<BlockId>,
+    ) -> Option<usize> {
+        for fork in touches.chunk_by(|a, b| a.0 == b.0) {
+            let h = fork[0].0;
+            let incumbent = aux.chain.get(h + 1).copied();
+            let mut best = incumbent.map(|c| (aux.chain_weight(h + 1), c));
+            for &(_, x) in fork {
+                let candidate = (aux.weight(x), x);
+                if best.is_none_or(|b| heavier(store, candidate, b)) {
+                    best = Some(candidate);
+                }
+            }
+            let (_, winner) = best.expect("a touched fork has a member child");
+            if Some(winner) != incumbent {
+                self.rebase(store, tree, aux, h, winner, leaf);
+                return Some(h);
+            }
+        }
+        None
+    }
+
+    /// Moves the chain below height `h` onto `winner`, an off-chain member
+    /// child of `chain[h]`: the old suffix's weights become explicit (one
+    /// suffix query each), `chain[h]`'s side trades the winner for the old
+    /// chain child, and the descent from the winner becomes the new
+    /// suffix. O(|changed suffix| · log n), plus the descent's child scans.
+    fn rebase(
+        &self,
+        store: &dyn BlockView,
+        tree: &TreeMembership,
+        aux: &mut SelectionAux,
+        h: usize,
+        winner: BlockId,
+        leaf: Option<BlockId>,
+    ) {
+        for k in h + 1..aux.chain.len() {
+            let (id, w) = (aux.chain[k], aux.chain_weight(k));
+            *aux.slot(id) = w;
+        }
+        let old_child = aux.chain.get(h + 1).map_or(0, |&c| aux.weight(c));
+        aux.chain.truncate(h + 1);
+        aux.spine.truncate(h + 1);
+        aux.spine.add(h, old_child.wrapping_sub(aux.weight(winner)));
+        self.descend(store, tree, aux, winner, leaf);
     }
 
     /// Subtree weights for every member block, computed in one reverse pass
@@ -721,12 +920,22 @@ impl Ghost {
             if !tree.contains(id) {
                 continue;
             }
-            w[idx] += self.own_weight(store, id);
-            if let Some(p) = store.parent(id) {
+            let meta = store.meta(id);
+            w[idx] += self.own_weight(&meta);
+            if let Some(p) = meta.parent {
                 w[p.index()] += w[idx];
             }
         }
         w
+    }
+}
+
+/// GHOST's child order: heavier subtree first, larger digest on a tie.
+fn heavier(store: &dyn BlockView, (wa, a): (u64, BlockId), (wb, b): (u64, BlockId)) -> bool {
+    match wa.cmp(&wb) {
+        Ordering::Greater => true,
+        Ordering::Less => false,
+        Ordering::Equal => store.digest_of(a) > store.digest_of(b),
     }
 }
 
@@ -763,13 +972,17 @@ impl SelectionFn for Ghost {
         }
     }
 
-    /// Incremental GHOST: the insert adds `own_weight(b)` to every subtree
-    /// on the genesis→`b` path (an O(depth) leaf→root walk over the
-    /// maintained weights), and the greedy descent can only change at the
-    /// fork between the old tip's path and `b`'s path — above it both paths
-    /// share vertices whose chosen child just gained weight, below the old
-    /// side nothing moved. So the re-selection is one O(log n) LCA, one
-    /// child comparison, and a descent only when the fork actually flips.
+    /// Incremental GHOST over the chain-relative weights (see
+    /// [`SelectionAux`]): the insert's own weight goes to the explicit
+    /// weights between it and the selected chain — none for a tip
+    /// extension or a graft onto the chain — and to one Fenwick entry at
+    /// the chain block it hangs under. The greedy descent can only change
+    /// at that fork: above it the chain children just gained weight, below
+    /// it nothing moved. So re-selection is one O(log n) suffix query and
+    /// one comparison, plus a rebase onto the new branch when the fork
+    /// flips (O(|changed suffix| · log n), the order of the chain splice
+    /// the caller does anyway). A child of the tip always wins its empty
+    /// fork: that is the extension.
     fn on_insert(
         &self,
         store: &dyn BlockView,
@@ -779,34 +992,42 @@ impl SelectionFn for Ghost {
         current_tip: BlockId,
     ) -> TipUpdate {
         if !aux.ready {
-            // First incremental call on this tree: weights include
-            // `new_block` already, nothing to add on top.
+            // Cold aux: the rebuild counts `new_block` already.
             self.init_aux(store, tree, aux);
-        } else {
-            let own = self.own_weight(store, new_block);
-            let mut cur = Some(new_block);
-            while let Some(id) = cur {
-                aux.add_weight(id, own);
-                cur = store.parent(id);
+            let tip = aux.chain_tip().expect("the chain holds genesis");
+            return if tip == current_tip {
+                TipUpdate::Unchanged
+            } else if store.parent(tip) == Some(current_tip) {
+                TipUpdate::Extended(tip)
+            } else {
+                TipUpdate::Switched(tip)
+            };
+        }
+        debug_assert_eq!(
+            aux.chain_tip(),
+            Some(current_tip),
+            "aux tracks the caller's tip"
+        );
+        let meta = store.meta(new_block);
+        let parent = meta.parent.expect("genesis is never inserted");
+        let tip_height = aux.chain.len() - 1;
+        let fork = Self::fold(
+            store,
+            aux,
+            new_block,
+            parent,
+            meta.height as usize - 1,
+            self.own_weight(&meta),
+        );
+        match self.settle(store, tree, aux, &[fork], Some(new_block)) {
+            None => TipUpdate::Unchanged,
+            Some(h) if h == tip_height => {
+                // The old tip was a member leaf: its only member child is
+                // the new block itself.
+                debug_assert_eq!(fork.1, new_block);
+                TipUpdate::Extended(new_block)
             }
-        }
-
-        let lca = store.common_ancestor(current_tip, new_block);
-        if lca == current_tip {
-            // The old tip was a member leaf, so the only member path
-            // through it is the new block itself: the selected chain grew.
-            debug_assert_eq!(store.parent(new_block), Some(current_tip));
-            return TipUpdate::Extended(new_block);
-        }
-        let fork_height = store.height(lca) + 1;
-        let incumbent = store.ancestor_at(current_tip, fork_height);
-        let winner = self
-            .heaviest_child(store, tree, aux, lca)
-            .expect("lca has member children on both paths");
-        if winner == incumbent {
-            TipUpdate::Unchanged
-        } else {
-            TipUpdate::Switched(self.descend(store, tree, aux, winner))
+            Some(_) => TipUpdate::Switched(aux.chain_tip().expect("the chain holds genesis")),
         }
     }
 
@@ -814,23 +1035,19 @@ impl SelectionFn for Ghost {
         AuxPartial::from_weights(
             inserts
                 .iter()
-                .map(|&id| (id, self.own_weight(store, id)))
+                .map(|&id| (id, self.own_weight(&store.meta(id))))
                 .collect(),
         )
     }
 
-    /// Batched GHOST: one converging leaf→root walk propagates every
-    /// inserted weight (entries are processed deepest-first and pushed to
-    /// their parent, so shared ancestor paths are walked once — O(|union
-    /// of the insert paths|) instead of O(batch × depth)), then one
-    /// descent re-selects from the highest fork the batch could have
-    /// flipped.
-    ///
-    /// The descent may start at the old tip's ancestor at `h_min`, the
-    /// minimum height of LCA(old tip, b) over the inserted blocks `b`: a
-    /// flip at a node `v` strictly above every such LCA would need a
-    /// non-chosen child of `v` to gain weight, which would make `v` itself
-    /// an LCA of the old tip and some insert — contradicting minimality.
+    /// Batched GHOST over the same representation: one reverse id-order
+    /// pass (ids are minted parent-first, so every child comes before its
+    /// parent) sums the batch's weights child-to-parent inside the batch,
+    /// writing each inserted block once; only the batch's roots walk on
+    /// towards the chain. Re-selection then settles every fork the batch
+    /// touched, root-most first — the first flip rebases the chain, and a
+    /// flip above every touched fork is impossible (no child there gained
+    /// weight off the chain).
     fn apply_partial(
         &self,
         store: &dyn BlockView,
@@ -839,34 +1056,45 @@ impl SelectionFn for Ghost {
         partial: &AuxPartial,
         current_tip: BlockId,
     ) -> BlockId {
-        if partial.weights().is_empty() {
+        let weights = partial.weights();
+        if weights.is_empty() {
             return current_tip;
         }
         if !aux.ready {
-            // First batch on this tree: the rebuild sees the inserts'
-            // weights already, nothing to propagate on top.
+            // Cold aux: the rebuild sees the inserts' weights already.
             self.init_aux(store, tree, aux);
         } else {
-            let mut pending: BTreeMap<(u32, BlockId), u64> = BTreeMap::new();
-            for &(id, w) in partial.weights() {
-                *pending.entry((store.height(id), id)).or_insert(0) += w;
-            }
-            while let Some((&(h, id), _)) = pending.last_key_value() {
-                let w = pending.remove(&(h, id)).expect("entry just observed");
-                aux.add_weight(id, w);
-                if let Some(p) = store.parent(id) {
-                    *pending.entry((h - 1, p)).or_insert(0) += w;
+            debug_assert_eq!(
+                aux.chain_tip(),
+                Some(current_tip),
+                "aux tracks the caller's tip"
+            );
+            let mut acc: Vec<u64> = weights.iter().map(|&(_, w)| w).collect();
+            let mut touches = Vec::new();
+            for i in (0..weights.len()).rev() {
+                let id = weights[i].0;
+                let meta = store.meta(id);
+                let parent = meta.parent.expect("genesis is never inserted");
+                match weights[..i].binary_search_by_key(&parent, |&(b, _)| b) {
+                    Ok(j) => {
+                        *aux.slot(id) += acc[i];
+                        acc[j] += acc[i];
+                    }
+                    Err(_) => touches.push(Self::fold(
+                        store,
+                        aux,
+                        id,
+                        parent,
+                        meta.height as usize - 1,
+                        acc[i],
+                    )),
                 }
             }
+            touches.sort_unstable();
+            touches.dedup();
+            self.settle(store, tree, aux, &touches, None);
         }
-        let h_min = partial
-            .weights()
-            .iter()
-            .map(|&(id, _)| store.height(store.common_ancestor(current_tip, id)))
-            .min()
-            .expect("non-empty batch");
-        let start = store.ancestor_at(current_tip, h_min);
-        self.descend(store, tree, aux, start)
+        aux.chain_tip().expect("the chain holds genesis")
     }
 
     fn name(&self) -> &'static str {
@@ -1041,6 +1269,37 @@ mod tests {
         let (s, ..) = forked();
         let t = TreeMembership::full(&s);
         TrivialProjection.select_tip(&s, &t);
+    }
+
+    #[test]
+    fn fenwick_matches_naive_sums_through_push_truncate_and_add() {
+        let mut fen = Fenwick::default();
+        let mut naive: Vec<u64> = Vec::new();
+        for step in 0..2000u64 {
+            let r = crate::ids::splitmix64_at(0xF3E, step);
+            match r % 5 {
+                0 if !naive.is_empty() => {
+                    let len = (r >> 8) as usize % naive.len();
+                    fen.truncate(len);
+                    naive.truncate(len);
+                }
+                1 if !naive.is_empty() => {
+                    let i = (r >> 8) as usize % naive.len();
+                    // A negative delta, as a rebase applies, kept ≥ 0 overall.
+                    let delta = ((r >> 32) % (naive[i] + 1)).wrapping_neg();
+                    fen.add(i, delta);
+                    naive[i] = naive[i].wrapping_add(delta);
+                }
+                _ => {
+                    let v = (r >> 16) % 100;
+                    fen.push(v);
+                    naive.push(v);
+                }
+            }
+            for i in 0..=naive.len() {
+                assert_eq!(fen.suffix(i), naive[i..].iter().sum::<u64>(), "step {step}");
+            }
+        }
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //!
 //! * the **tip** of `f(bt)`, maintained through
 //!   [`SelectionFn::on_insert`] instead of an O(tree) rescan — O(log n)
-//!   per insert for the chain rules, O(depth of the inserted block) for
-//!   GHOST (its weight update walks leaf→root);
+//!   per insert for the chain rules and for GHOST, whose weights are kept
+//!   relative to the selected chain (plus one hop per block between the
+//!   insert and that chain, and O(|changed suffix| · log n) on a reorg);
 //! * the **chain** `{b0}⌢f(bt)` itself, as a [`Blockchain`] over a shared
 //!   grow-only buffer: extension pushes in place (amortized O(1)),
 //!   reorgs splice at the fork (O(log n) LCA + O(changed suffix)), and
@@ -37,7 +38,7 @@ use crate::store::{BlockView, TreeMembership};
 pub struct ChainCache {
     /// `{b0}⌢f(bt)`, maintained in place.
     chain: Blockchain,
-    /// Per-rule scratch (GHOST subtree weights live here).
+    /// Per-rule scratch (GHOST's chain-relative weights live here).
     aux: SelectionAux,
 }
 

@@ -454,6 +454,91 @@ proptest! {
             );
         }
     }
+
+    // ── GHOST's chain-relative weights ───────────────────────────────────
+
+    /// Whatever mix of single inserts, batches and resets delivers a
+    /// random tree in a random parent-closed order, the GHOST aux lands
+    /// on the oracle's tip and derives every member's subtree weight as
+    /// a full recompute counts it — for both weightings.
+    #[test]
+    fn ghost_chain_relative_weights_match_recompute(
+        store in arb_store(60),
+        order_seed in any::<u64>(),
+    ) {
+        use btadt_core::ids::splitmix64_at;
+        use btadt_core::selection::{batch_score, GhostWeight, SelectionAux, TipUpdate};
+
+        // A random parent-closed delivery order.
+        let mut delivered = TreeMembership::genesis_only();
+        let mut pending: Vec<BlockId> = store.ids().skip(1).collect();
+        let mut order = Vec::with_capacity(pending.len());
+        while !pending.is_empty() {
+            let ready: Vec<usize> = (0..pending.len())
+                .filter(|&i| delivered.contains(store.parent(pending[i]).unwrap()))
+                .collect();
+            let r = splitmix64_at(order_seed, order.len() as u64);
+            let b = pending.swap_remove(ready[r as usize % ready.len()]);
+            delivered.insert(&store, b);
+            order.push(b);
+        }
+
+        for weight in [GhostWeight::BlockCount, GhostWeight::Work] {
+            let rule = Ghost { weight };
+            let mut tree = TreeMembership::genesis_only();
+            let mut aux = SelectionAux::new();
+            let mut tip = BlockId::GENESIS;
+            let mut next = 0usize;
+            let mut step = 0u64;
+            while next < order.len() {
+                let r = splitmix64_at(order_seed ^ 0x6057, step);
+                if r.is_multiple_of(10) {
+                    aux.reset();
+                }
+                if (r >> 4).is_multiple_of(2) {
+                    let id = order[next];
+                    next += 1;
+                    tree.insert(&store, id);
+                    match rule.on_insert(&store, &tree, &mut aux, id, tip) {
+                        TipUpdate::Unchanged => {}
+                        TipUpdate::Extended(t) | TipUpdate::Switched(t) => tip = t,
+                    }
+                } else {
+                    let want = 1 + ((r >> 8) % 8) as usize;
+                    let batch = &order[next..(next + want).min(order.len())];
+                    next += batch.len();
+                    for &id in batch {
+                        tree.insert(&store, id);
+                    }
+                    tip = batch_score(&rule, &store, &tree, &mut aux, batch, tip);
+                }
+                step += 1;
+
+                prop_assert_eq!(tip, rule.select_tip(&store, &tree), "{:?} step {}", weight, step);
+                let mut want = vec![0u64; store.len()];
+                for idx in (0..store.len()).rev() {
+                    let id = BlockId(idx as u32);
+                    if !tree.contains(id) {
+                        continue;
+                    }
+                    want[id.index()] += match weight {
+                        GhostWeight::BlockCount => 1,
+                        GhostWeight::Work => store.get(id).work.max(1),
+                    };
+                    if let Some(p) = store.parent(id) {
+                        want[p.index()] += want[id.index()];
+                    }
+                }
+                for id in store.ids().filter(|&id| tree.contains(id)) {
+                    prop_assert_eq!(
+                        aux.derived_ghost_weight(&store, id),
+                        want[id.index()],
+                        "{:?} step {} block {}", weight, step, id
+                    );
+                }
+            }
+        }
+    }
 }
 
 // ── Ancestry edge cases (deterministic, no strategies needed) ───────────

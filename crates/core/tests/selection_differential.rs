@@ -21,9 +21,13 @@
 use btadt_core::block::Payload;
 use btadt_core::chain::Blockchain;
 use btadt_core::ids::{splitmix64_at, BlockId, ProcessId};
-use btadt_core::selection::{Ghost, GhostWeight, HeaviestWork, LongestChain, SelectionFn};
-use btadt_core::store::{BlockStore, TreeMembership};
+use btadt_core::selection::{
+    batch_score, Ghost, GhostWeight, HeaviestWork, LongestChain, SelectionAux, SelectionFn,
+    TipUpdate,
+};
+use btadt_core::store::{BlockMeta, BlockStore, BlockView, TreeMembership};
 use btadt_core::tipcache::ChainCache;
+use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 
 fn rules() -> Vec<(&'static str, Box<dyn SelectionFn>)> {
     vec![
@@ -507,4 +511,415 @@ fn unchanged_tip_reads_share_the_snapshot() {
     assert_eq!(c.len(), a.len() + 1);
     assert_eq!(a, b, "held snapshot is unmoved by the append");
     assert!(a.is_prefix_of(&c));
+}
+
+// ── GHOST's chain-relative representation ───────────────────────────────
+//
+// GHOST keeps subtree weights relative to the selected chain: a Fenwick
+// tree over the chain's `own + side` weights, explicit weights off it.
+// The tests below hold that representation to a full recompute — the
+// incremental tip must equal the full-scan `select_tip`, and the weight
+// the aux derives for *every* member must equal the member's subtree
+// weight counted from scratch — across random parent-closed sequences,
+// deep grafts, overtaking branches, resets and batches. The last test
+// pins the cost: store accesses per insert are counted, not timed.
+
+fn ghosts() -> [Ghost; 2] {
+    [
+        Ghost {
+            weight: GhostWeight::BlockCount,
+        },
+        Ghost {
+            weight: GhostWeight::Work,
+        },
+    ]
+}
+
+/// Every member's subtree weight, counted from scratch (children have
+/// larger ids than their parents, so one reverse pass accumulates).
+fn recomputed_weights(rule: &Ghost, store: &dyn BlockView, tree: &TreeMembership) -> Vec<u64> {
+    let mut w = vec![0u64; store.block_count()];
+    for idx in (0..w.len()).rev() {
+        let id = BlockId(idx as u32);
+        if !tree.contains(id) {
+            continue;
+        }
+        w[idx] += match rule.weight {
+            GhostWeight::BlockCount => 1,
+            GhostWeight::Work => store.work_of(id).max(1),
+        };
+        if let Some(p) = store.parent(id) {
+            w[p.index()] += w[idx];
+        }
+    }
+    w
+}
+
+/// The maintained tip is the oracle's, and the aux derives every member's
+/// recomputed subtree weight.
+fn assert_ghost_state(
+    rule: &Ghost,
+    store: &dyn BlockView,
+    tree: &TreeMembership,
+    aux: &SelectionAux,
+    tip: BlockId,
+    ctx: &str,
+) {
+    assert_eq!(tip, rule.select_tip(store, tree), "{ctx}: tip vs full scan");
+    for (idx, &want) in recomputed_weights(rule, store, tree).iter().enumerate() {
+        let id = BlockId(idx as u32);
+        if tree.contains(id) {
+            assert_eq!(
+                aux.derived_ghost_weight(store, id),
+                want,
+                "{ctx}: derived weight of {id}"
+            );
+        }
+    }
+}
+
+fn fold_insert(
+    rule: &Ghost,
+    store: &dyn BlockView,
+    tree: &TreeMembership,
+    aux: &mut SelectionAux,
+    id: BlockId,
+    tip: BlockId,
+) -> BlockId {
+    match rule.on_insert(store, tree, aux, id, tip) {
+        TipUpdate::Unchanged => tip,
+        TipUpdate::Extended(t) | TipUpdate::Switched(t) => t,
+    }
+}
+
+/// A random parent-closed delivery order of every non-genesis block.
+fn parent_closed_shuffle(store: &BlockStore, seed: u64) -> Vec<BlockId> {
+    let mut delivered = TreeMembership::genesis_only();
+    let mut pending: Vec<BlockId> = store.ids().skip(1).collect();
+    let mut order = Vec::with_capacity(pending.len());
+    let mut step = 0u64;
+    while !pending.is_empty() {
+        let ready: Vec<usize> = (0..pending.len())
+            .filter(|&i| delivered.contains(store.parent(pending[i]).expect("non-genesis")))
+            .collect();
+        let pick = ready[(splitmix64_at(seed, step) as usize) % ready.len()];
+        let b = pending.swap_remove(pick);
+        delivered.insert(store, b);
+        order.push(b);
+        step += 1;
+    }
+    order
+}
+
+fn fork_heavy_store(seed: u64, n_blocks: usize) -> BlockStore {
+    let mut store = BlockStore::new();
+    let mut minted = vec![BlockId::GENESIS];
+    for step in 0..n_blocks as u64 {
+        let parent = pick_parent(seed, step, &minted);
+        let work = 1 + splitmix64_at(seed ^ 0x3055, step) % 4;
+        minted.push(store.mint(
+            parent,
+            ProcessId((step % 4) as u32),
+            (step % 4) as u32,
+            work,
+            step,
+            Payload::Empty,
+        ));
+    }
+    store
+}
+
+/// Mint order and shuffled delivery, one insert at a time, with the aux
+/// reset at random points (the rebuild must rejoin the same state) and a
+/// `ChainCache` rebuilt alongside.
+#[test]
+fn ghost_weights_match_recompute_on_random_sequences() {
+    for seed in 0..120u64 {
+        let store = fork_heavy_store(seed, 20 + (splitmix64_at(seed, 2) % 40) as usize);
+        let mint_order: Vec<BlockId> = store.ids().skip(1).collect();
+        let shuffled = parent_closed_shuffle(&store, seed ^ 0x5418);
+        for (shape, order) in [("mint-order", &mint_order), ("shuffled", &shuffled)] {
+            for rule in ghosts() {
+                let mut tree = TreeMembership::genesis_only();
+                let mut aux = SelectionAux::new();
+                let mut cache = ChainCache::new();
+                let mut tip = BlockId::GENESIS;
+                for (step, &id) in order.iter().enumerate() {
+                    tree.insert(&store, id);
+                    let r = splitmix64_at(seed ^ 0x2E5E7, step as u64);
+                    if r.is_multiple_of(16) {
+                        aux.reset();
+                    }
+                    tip = fold_insert(&rule, &store, &tree, &mut aux, id, tip);
+                    if r % 16 == 1 {
+                        cache.rebuild(&rule, &store, &tree);
+                    } else {
+                        cache.on_insert(&rule, &store, &tree, id);
+                    }
+                    let ctx = format!("seed {seed} {shape} {:?} step {step}", rule.weight);
+                    assert_ghost_state(&rule, &store, &tree, &aux, tip, &ctx);
+                    assert_eq!(cache.tip(), tip, "{ctx}: cache tip");
+                }
+            }
+        }
+    }
+}
+
+/// A long chain grown at its tip while forks graft onto uniformly random
+/// heights of the selected chain, some growing short side branches (so
+/// later inserts walk explicit off-chain weights before reaching the
+/// chain).
+#[test]
+fn ghost_weights_match_recompute_under_deep_grafts() {
+    for seed in 0..4u64 {
+        for rule in ghosts() {
+            let mut store = BlockStore::new();
+            let mut tree = TreeMembership::genesis_only();
+            let mut aux = SelectionAux::new();
+            let mut tip = BlockId::GENESIS;
+            let mut side_tips: Vec<BlockId> = Vec::new();
+            for step in 0..600u64 {
+                let r = splitmix64_at(seed ^ 0x6EAF7, step);
+                let parent = match r % 6 {
+                    0 => {
+                        // Graft at a uniform height of the selected chain.
+                        let h = (r >> 8) % (store.height(tip) as u64 + 1);
+                        store.ancestor_at(tip, h as u32)
+                    }
+                    1 if !side_tips.is_empty() => {
+                        side_tips.swap_remove((r >> 8) as usize % side_tips.len())
+                    }
+                    _ => tip,
+                };
+                let work = 1 + (r >> 16) % 4;
+                let id = store.mint(parent, ProcessId(0), 0, work, step, Payload::Empty);
+                tree.insert(&store, id);
+                if parent != tip {
+                    side_tips.push(id);
+                }
+                tip = fold_insert(&rule, &store, &tree, &mut aux, id, tip);
+                let ctx = format!("seed {seed} {:?} step {step}", rule.weight);
+                assert_ghost_state(&rule, &store, &tree, &aux, tip, &ctx);
+            }
+            assert!(store.height(tip) > 200, "the chain grew deep");
+        }
+    }
+}
+
+/// A competing branch off genesis overtakes a long chain — a reorg of the
+/// whole chain — and the first branch then wins back, both times reported
+/// as a `Switched` update that lands on the oracle's tip.
+#[test]
+fn ghost_deep_reorg_when_a_competing_branch_overtakes() {
+    for rule in ghosts() {
+        let mut store = BlockStore::new();
+        let mut tree = TreeMembership::genesis_only();
+        let mut aux = SelectionAux::new();
+        let mut tip = BlockId::GENESIS;
+        let mut nonce = 0u64;
+        let mut grow = |store: &mut BlockStore,
+                        tree: &mut TreeMembership,
+                        aux: &mut SelectionAux,
+                        tip: &mut BlockId,
+                        parent: BlockId|
+         -> (BlockId, TipUpdate) {
+            nonce += 1;
+            let id = store.mint(
+                parent,
+                ProcessId(0),
+                0,
+                1 + nonce % 3,
+                nonce,
+                Payload::Empty,
+            );
+            tree.insert(store, id);
+            let update = rule.on_insert(store, tree, aux, id, *tip);
+            if let TipUpdate::Extended(t) | TipUpdate::Switched(t) = update {
+                *tip = t;
+            }
+            (id, update)
+        };
+        // Chain A: 150 blocks at the tip.
+        let mut a_tip = BlockId::GENESIS;
+        for _ in 0..150 {
+            let (id, _) = grow(&mut store, &mut tree, &mut aux, &mut tip, a_tip);
+            a_tip = id;
+        }
+        assert_eq!(tip, a_tip);
+        // Branch B off genesis until it takes over.
+        let mut b_tip = BlockId::GENESIS;
+        let mut switched = None;
+        for step in 0..1000 {
+            let (id, update) = grow(&mut store, &mut tree, &mut aux, &mut tip, b_tip);
+            b_tip = id;
+            let ctx = format!("{:?} branch B step {step}", rule.weight);
+            assert_ghost_state(&rule, &store, &tree, &aux, tip, &ctx);
+            if let TipUpdate::Switched(t) = update {
+                switched = Some(t);
+                break;
+            }
+        }
+        assert_eq!(switched, Some(b_tip), "{:?}: B overtook A", rule.weight);
+        // And A wins back.
+        let mut back = None;
+        for step in 0..1000 {
+            let (id, update) = grow(&mut store, &mut tree, &mut aux, &mut tip, a_tip);
+            a_tip = id;
+            let ctx = format!("{:?} branch A step {step}", rule.weight);
+            assert_ghost_state(&rule, &store, &tree, &aux, tip, &ctx);
+            if let TipUpdate::Switched(t) = update {
+                back = Some(t);
+                break;
+            }
+        }
+        assert_eq!(back, Some(a_tip), "{:?}: A overtook B again", rule.weight);
+    }
+}
+
+/// Random-size batches (1..=16 inserts of a parent-closed delivery order)
+/// through `batch_score`, with random resets between batches.
+#[test]
+fn ghost_weights_match_recompute_through_random_batches() {
+    for seed in 0..120u64 {
+        let store = fork_heavy_store(seed ^ 0xBA7, 30 + (splitmix64_at(seed, 3) % 60) as usize);
+        let order = parent_closed_shuffle(&store, seed ^ 0x5419);
+        for rule in ghosts() {
+            let mut tree = TreeMembership::genesis_only();
+            let mut aux = SelectionAux::new();
+            let mut tip = BlockId::GENESIS;
+            let mut next = 0usize;
+            let mut batch_no = 0u64;
+            while next < order.len() {
+                let r = splitmix64_at(seed ^ 0xBA7D, batch_no);
+                let want = 1 + (r % 16) as usize;
+                let batch = &order[next..(next + want).min(order.len())];
+                next += batch.len();
+                for &id in batch {
+                    tree.insert(&store, id);
+                }
+                if (r >> 8).is_multiple_of(12) {
+                    aux.reset();
+                }
+                tip = batch_score(&rule, &store, &tree, &mut aux, batch, tip);
+                let ctx = format!("seed {seed} {:?} batch {batch_no}", rule.weight);
+                assert_ghost_state(&rule, &store, &tree, &aux, tip, &ctx);
+                batch_no += 1;
+            }
+        }
+    }
+}
+
+/// A `BlockStore` view that counts every access the selection makes:
+/// `meta` and its derived reads, `parent`, `height`, `for_each_child`.
+struct CountingView<'a> {
+    inner: &'a BlockStore,
+    calls: AtomicU64,
+}
+
+impl CountingView<'_> {
+    fn count(&self) {
+        // Single-threaded test view: the count is the only shared state.
+        self.calls.fetch_add(1, AtomicOrdering::Relaxed);
+    }
+
+    fn calls(&self) -> u64 {
+        self.calls.load(AtomicOrdering::Relaxed)
+    }
+}
+
+impl BlockView for CountingView<'_> {
+    fn block_count(&self) -> usize {
+        self.inner.block_count()
+    }
+    fn has_block(&self, id: BlockId) -> bool {
+        self.inner.has_block(id)
+    }
+    fn meta(&self, id: BlockId) -> BlockMeta {
+        self.count();
+        BlockView::meta(self.inner, id)
+    }
+    fn with_block(&self, id: BlockId, f: &mut dyn FnMut(&btadt_core::block::Block)) {
+        self.count();
+        self.inner.with_block(id, f)
+    }
+    fn for_each_child(&self, id: BlockId, f: &mut dyn FnMut(BlockId)) {
+        self.count();
+        self.inner.for_each_child(id, f)
+    }
+    fn parent(&self, id: BlockId) -> Option<BlockId> {
+        self.count();
+        BlockView::parent(self.inner, id)
+    }
+    fn height(&self, id: BlockId) -> u32 {
+        self.count();
+        BlockView::height(self.inner, id)
+    }
+}
+
+/// The sublinearity pin: on a 50k-block GHOST chain, every tip extension
+/// costs at most a few store accesses, and the whole run — grafts at
+/// uniform heights included — stays under n·log₂n accesses. A leaf→root
+/// walk per insert would cost ~n²/2 here.
+#[test]
+fn ghost_store_hops_stay_constant_per_extension() {
+    const N: u64 = 50_000;
+    const EXTENSION_HOPS: u64 = 4;
+    for rule in ghosts() {
+        let mut store = BlockStore::new();
+        let mut tree = TreeMembership::genesis_only();
+        let mut aux = SelectionAux::new();
+        let mut tip = BlockId::GENESIS;
+        let mut inserts = 0u64;
+        let mut total = 0u64;
+        let mut worst_extension = 0u64;
+        for step in 0..N {
+            let r = splitmix64_at(0x5B11_0617, step);
+            let parent = if r.is_multiple_of(8) {
+                let h = (r >> 8) % (store.height(tip) as u64 + 1);
+                store.ancestor_at(tip, h as u32)
+            } else {
+                tip
+            };
+            let id = store.mint(
+                parent,
+                ProcessId(0),
+                0,
+                1 + (r >> 16) % 4,
+                step,
+                Payload::Empty,
+            );
+            tree.insert(&store, id);
+            let view = CountingView {
+                inner: &store,
+                calls: AtomicU64::new(0),
+            };
+            let extends = parent == tip;
+            tip = fold_insert(&rule, &view, &tree, &mut aux, id, tip);
+            inserts += 1;
+            total += view.calls();
+            // The first insert builds the aux from scratch.
+            if extends && step > 0 {
+                assert_eq!(tip, id, "{:?}: a child of the tip is selected", rule.weight);
+                worst_extension = worst_extension.max(view.calls());
+            }
+        }
+        eprintln!(
+            "{:?}: {total} store accesses over {inserts} inserts, worst extension {worst_extension}",
+            rule.weight
+        );
+        let n = inserts as f64;
+        let bound = (n * n.log2()) as u64;
+        assert!(
+            worst_extension <= EXTENSION_HOPS,
+            "{:?}: a tip extension cost {worst_extension} store accesses",
+            rule.weight
+        );
+        assert!(
+            total <= bound,
+            "{:?}: {total} store accesses over {inserts} inserts exceed n·log2(n) = {bound}",
+            rule.weight
+        );
+        assert!(store.height(tip) > 10_000, "the chain grew deep");
+        assert_eq!(tip, rule.select_tip(&store, &tree), "{:?}", rule.weight);
+    }
 }

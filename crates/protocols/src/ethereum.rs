@@ -13,9 +13,11 @@
 //! * the block interval : delivery-delay ratio is more aggressive, so
 //!   forks ("uncles") are more frequent — which is exactly the regime
 //!   GHOST was designed for. Each replica maintains GHOST's subtree
-//!   weights incrementally (`SelectionFn::on_insert` updates the
-//!   leaf→root path per applied block), so the uncle-heavy regime does
-//!   not degrade per-delivery selection to a full-tree weight rebuild.
+//!   weights incrementally, relative to its selected chain
+//!   (`SelectionFn::on_insert` touches only the blocks between an
+//!   applied block and that chain, plus one O(log n) Fenwick entry), so
+//!   the uncle-heavy regime does not degrade per-delivery selection to a
+//!   full-tree weight rebuild or a walk to genesis.
 
 use crate::bitcoin::NakamotoMiner;
 use crate::common::{standard_run, RunSchedule, SystemRun};

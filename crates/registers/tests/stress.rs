@@ -198,3 +198,119 @@ fn mixed_oracle_and_cells_share_one_truth() {
     assert_eq!(k.len(), 1);
     assert_eq!(mirror.get(), k[0].0 as u64, "cell mirrors the oracle");
 }
+
+/// A two-party round barrier that fails instead of hanging when the
+/// other party panicked (a plain `Barrier` would wedge the survivor).
+struct RoundBarrier {
+    arrived: AtomicU64,
+    round: AtomicU64,
+    abandoned: std::sync::atomic::AtomicBool,
+}
+
+/// Marks the barrier abandoned if its thread unwinds.
+struct AbandonOnPanic<'a>(&'a RoundBarrier);
+
+impl Drop for AbandonOnPanic<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.abandoned.store(true, Ordering::SeqCst);
+        }
+    }
+}
+
+impl RoundBarrier {
+    fn new() -> Self {
+        RoundBarrier {
+            arrived: AtomicU64::new(0),
+            round: AtomicU64::new(0),
+            abandoned: std::sync::atomic::AtomicBool::new(false),
+        }
+    }
+
+    fn wait(&self) {
+        let round = self.round.load(Ordering::SeqCst);
+        if self.arrived.fetch_add(1, Ordering::SeqCst) == 1 {
+            self.arrived.store(0, Ordering::SeqCst);
+            self.round.fetch_add(1, Ordering::SeqCst);
+            return;
+        }
+        while self.round.load(Ordering::SeqCst) == round {
+            assert!(
+                !self.abandoned.load(Ordering::SeqCst),
+                "the other proposer panicked"
+            );
+            std::thread::yield_now();
+        }
+    }
+}
+
+/// Chained Protocol A rounds anchored straight at the previous decision:
+/// as soon as `propose` returns, proposer 0 builds the next round's
+/// `TreeConsensus::new` on the decided block — no waiting in between —
+/// and proposer 1 checks `is_committed` on it. A losing proposer returns
+/// once `read()` shows the decision, so `is_committed` must say yes from
+/// that moment on, not only once the publication cursor behind the
+/// pointer swap has moved (the window is a few instructions wide, hence
+/// the long run in release builds).
+#[test]
+fn chained_rounds_anchor_on_the_previous_decision_without_waiting() {
+    use btadt_core::blocktree::CandidateBlock;
+    use btadt_core::concurrent::ConcurrentBlockTree;
+    use btadt_core::ids::ProcessId;
+    use btadt_core::selection::LongestChain;
+    use btadt_core::validity::AcceptAll;
+    use btadt_registers::TreeConsensus;
+    use std::sync::OnceLock;
+
+    // Debug builds cross-check every commit against a full scan, so they
+    // run a shorter chain.
+    let rounds: usize = if cfg!(debug_assertions) {
+        2_000
+    } else {
+        50_000
+    };
+    let tree = ConcurrentBlockTree::new(LongestChain, AcceptAll);
+    let oracle = SharedOracle::new(ThetaOracle::frugal(1, Merits::uniform(2), 1.6, 0xA9C4));
+    let slots: Vec<OnceLock<TreeConsensus<'_, _, _>>> =
+        (0..rounds).map(|_| OnceLock::new()).collect();
+    let _ = slots[0].set(TreeConsensus::new(&tree, &oracle, BlockId::GENESIS));
+    let barrier = RoundBarrier::new();
+    let decisions: Vec<Vec<BlockId>> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..2usize)
+            .map(|p| {
+                let (tree, oracle, slots, barrier) = (&tree, &oracle, &slots, &barrier);
+                s.spawn(move || {
+                    let _abandon = AbandonOnPanic(barrier);
+                    let mut decided = Vec::with_capacity(rounds);
+                    for r in 0..rounds {
+                        barrier.wait();
+                        let cand = CandidateBlock::simple(ProcessId(p as u32), r as u64);
+                        let out = slots[r]
+                            .get()
+                            .expect("installed before the barrier")
+                            .propose(p, cand)
+                            .expect("volatile trees cannot poison");
+                        if p == 0 && r + 1 < rounds {
+                            let _ = slots[r + 1].set(TreeConsensus::new(tree, oracle, out.decided));
+                        } else {
+                            assert!(
+                                tree.is_committed(out.decided),
+                                "round {r}: decided ∈ membership"
+                            );
+                        }
+                        decided.push(out.decided);
+                        barrier.wait();
+                    }
+                    decided
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    assert_eq!(decisions[0], decisions[1], "agreement in every round");
+    assert_eq!(
+        tree.commit_log(),
+        decisions[0],
+        "membership is the decided path"
+    );
+}
