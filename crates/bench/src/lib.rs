@@ -838,6 +838,10 @@ fn env_size(name: &str, default: u64) -> u64 {
 /// domain's `retired_bytes_peak` — the reclamation high-water mark over
 /// the run.
 ///
+/// The `solo_append` row times one appender with no reader at the
+/// default finality watermark and with flattening disabled, so the
+/// flattener's share of the uncontended append is a committed number.
+///
 /// The plain thread rows rarely overlap on a single-core container
 /// (appends serialize by time slice, so `mean_batch` pins at 1.0); the
 /// `contended` row forces overlap from a start barrier with a metadata
@@ -1026,6 +1030,65 @@ pub fn bench_concurrent() {
         rows.push(format!(
             "    {{\"threads\": {threads}, \"label\": \"tip_reads\", \"appends\": 0, \
              \"reads\": {tip_total}, \"reads_per_sec\": {tip_rate:.1}}}"
+        ));
+    }
+
+    // Solo append loop at the default watermark and with flattening
+    // disabled (a plain store): the gap is the whole cost the flattener
+    // adds to the uncontended append. Trials alternate between the two
+    // configs so drift over the run favours neither.
+    {
+        use btadt_core::commit::FinalityWatermark;
+        use btadt_core::concurrent::{DEFAULT_FINALITY_DEPTH, DEFAULT_SHARDS};
+
+        let (mut best_default, mut best_disabled) = (0f64, 0f64);
+        let mut flattened = 0u32;
+        for _ in 0..trials {
+            for watermark in [
+                FinalityWatermark::new(DEFAULT_FINALITY_DEPTH),
+                FinalityWatermark::disabled(),
+            ] {
+                let enabled = watermark.is_enabled();
+                let tree = ConcurrentBlockTree::with_config(
+                    DEFAULT_SHARDS,
+                    watermark,
+                    LongestChain,
+                    AcceptAll,
+                );
+                let start = Instant::now();
+                for i in 0..total_appends {
+                    let _ = tree.append(CandidateBlock::simple(ProcessId(0), (1u64 << 48) | i));
+                }
+                let rate = total_appends as f64 / start.elapsed().as_secs_f64();
+                assert_eq!(tree.read().len() as u64, total_appends + 1);
+                if enabled {
+                    best_default = best_default.max(rate);
+                    flattened = tree.store().flattened_count();
+                } else {
+                    best_disabled = best_disabled.max(rate);
+                    assert_eq!(tree.store().flattened_count(), 0);
+                }
+            }
+        }
+        for (label, rate) in [
+            (
+                format!("solo 1a (d={DEFAULT_FINALITY_DEPTH})"),
+                best_default,
+            ),
+            ("solo 1a (no flatten)".to_string(), best_disabled),
+        ] {
+            println!(
+                "{label:>22} {total_appends:>10} {rate:>13.0} {:>10} {:>13} {:>12} {:>7}",
+                "-", "-", "-", "-"
+            );
+        }
+        let ratio = best_default / best_disabled;
+        rows.push(format!(
+            "    {{\"threads\": 1, \"label\": \"solo_append\", \"appends\": {total_appends}, \
+             \"finality_depth\": {DEFAULT_FINALITY_DEPTH}, \
+             \"appends_per_sec_default\": {best_default:.1}, \
+             \"appends_per_sec_disabled\": {best_disabled:.1}, \
+             \"default_over_disabled\": {ratio:.3}, \"flattened_blocks\": {flattened}}}"
         ));
     }
 

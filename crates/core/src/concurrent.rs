@@ -320,7 +320,23 @@ struct FlatTier {
     /// in minting order.
     late_kids: Mutex<HashMap<u32, Vec<BlockId>>>,
     /// Single-flattener ticket: `try_lock` and do bounded work, or leave.
-    work: Mutex<()>,
+    /// It guards the retire cursor, so only the ticket holder retires.
+    work: Mutex<RetireCursor>,
+}
+
+/// The next live-tier spine chunk to retire, in `(k, shard)` order.
+///
+/// Chunk `k` of shard `s` ends at id `((2^(k+1) − 2) << shift) | s`,
+/// which strictly increases in `(k, s)` order, so every chunk before the
+/// cursor lies wholly below the flattened frontier and is already
+/// retired, and the cursor's own chunk is the next one to cover.
+#[derive(Default)]
+struct RetireCursor {
+    k: usize,
+    shard: usize,
+    /// Spine-pointer swaps performed so far (cost pin for the tests).
+    #[cfg(test)]
+    swaps: usize,
 }
 
 impl FlatTier {
@@ -330,7 +346,7 @@ impl FlatTier {
             count: AtomicU32::new(0),
             target: AtomicU32::new(0),
             late_kids: Mutex::new(HashMap::new()),
-            work: Mutex::new(()),
+            work: Mutex::new(RetireCursor::default()),
         }
     }
 
@@ -1159,10 +1175,12 @@ impl ShardedStore {
     }
 
     /// Flattens up to `budget` blocks of the finalized prefix into the
-    /// slab tier, then retires any spine chunks wholly below the new
-    /// frontier through the reclaim domain. Bounded work, safe to call
+    /// slab tier, then retires the spine chunks the new frontier newly
+    /// covers through the reclaim domain. Bounded work, safe to call
     /// from any thread next to the commit paths (single-flattener ticket
     /// inside; losers return immediately). Returns blocks flattened.
+    /// A call costs O(blocks copied + chunks newly retired): chunks
+    /// retired by earlier calls are never probed again.
     ///
     /// Per block: copy the hot/cold halves into the slab, then — under
     /// the owning shard's children lock — freeze the child list
@@ -1189,7 +1207,7 @@ impl ShardedStore {
         if self.flat.count.load(Ordering::Relaxed) >= bound {
             return 0;
         }
-        let Some(_ticket) = self.flat.work.try_lock() else {
+        let Some(mut cursor) = self.flat.work.try_lock() else {
             return 0; // another thread is flattening right now
         };
         // Sole flattener from here: `count` cannot move under us.
@@ -1251,37 +1269,49 @@ impl ShardedStore {
             // One Release store publishes the whole batch to lock-free
             // readers (`id < count` ⇒ slots initialized).
             self.flat.count.store(next, Ordering::Release);
-            self.retire_covered_chunks(next);
+            self.retire_covered_chunks(&mut cursor, next);
         }
         (next - start) as usize
     }
 
-    /// Retires every spine chunk whose id range lies wholly below
-    /// `frontier` (all its blocks are readable from the slab). The swap
-    /// to null unpublishes the chunk; in-flight readers that loaded the
-    /// pointer earlier are covered by their `walk_guard` pin — the epoch
-    /// domain frees the box only after their grace period passes.
-    fn retire_covered_chunks(&self, frontier: u32) {
+    /// Retires the spine chunks whose id range lies wholly below
+    /// `frontier` (all their blocks are readable from the slab) and that
+    /// earlier calls have not retired yet: the `(k, shard)` cursor held
+    /// under the work ticket advances past each chunk exactly once, so a
+    /// call costs one swap per chunk newly covered. The swap to null
+    /// unpublishes the chunk; in-flight readers that loaded the pointer
+    /// earlier are covered by their `walk_guard` pin — the epoch domain
+    /// frees the box only after their grace period passes.
+    fn retire_covered_chunks(&self, cursor: &mut RetireCursor, frontier: u32) {
         let mut retired_any = false;
-        for (s, shard) in self.shards.iter().enumerate() {
-            for k in 0..SPINE {
-                // Largest id the chunk covers: its last slot is 2^(k+1)-2.
-                let hi_slot = (1u64 << (k + 1)) - 2;
-                let hi_id = (hi_slot << self.shift) | s as u64;
-                if hi_id >= frontier as u64 {
-                    break; // later chunks cover even larger ids
-                }
-                let p = shard.spine[k].swap(std::ptr::null_mut(), Ordering::AcqRel);
-                if p.is_null() {
-                    continue; // never installed, or already retired
-                }
-                let bytes = (1usize << k) * (std::mem::size_of::<Entry>() + 1);
-                // SAFETY: the install site leaked exactly this box, and
-                // only the single flattener (we hold the work ticket)
-                // swaps spine pointers out.
-                self.reclaim.retire_box(bytes, unsafe { Box::from_raw(p) });
-                retired_any = true;
+        while cursor.k < SPINE {
+            let (k, s) = (cursor.k, cursor.shard);
+            // Largest id the chunk covers: its last slot is 2^(k+1)-2.
+            let hi_slot = (1u64 << (k + 1)) - 2;
+            let hi_id = (hi_slot << self.shift) | s as u64;
+            if hi_id >= frontier as u64 {
+                break; // every later chunk ends at an even larger id
             }
+            cursor.shard += 1;
+            if cursor.shard == self.shards.len() {
+                cursor.shard = 0;
+                cursor.k += 1;
+            }
+            let p = self.shards[s].spine[k].swap(std::ptr::null_mut(), Ordering::AcqRel);
+            #[cfg(test)]
+            {
+                cursor.swaps += 1;
+            }
+            debug_assert!(!p.is_null(), "every id below the frontier was minted");
+            if p.is_null() {
+                continue;
+            }
+            let bytes = (1usize << k) * (std::mem::size_of::<Entry>() + 1);
+            // SAFETY: the install site leaked exactly this box, and only
+            // the single flattener (we hold the work ticket, and with it
+            // the cursor) swaps spine pointers out, each exactly once.
+            self.reclaim.retire_box(bytes, unsafe { Box::from_raw(p) });
+            retired_any = true;
         }
         if retired_any {
             self.reclaim.try_reclaim();
@@ -4138,6 +4168,40 @@ mod tests {
         assert_eq!(store.ancestor_at(prev, 0), BlockId::GENESIS);
         assert_eq!(store.ancestor_at(prev, 1234), BlockId(1234));
         assert!(store.is_ancestor(BlockId(1), prev));
+    }
+
+    #[test]
+    fn each_spine_chunk_is_swapped_out_at_most_once() {
+        // The commit path's cadence: one watermark raise and one bounded
+        // flatten per publication, depth 128. Retirement must cost one
+        // spine swap per chunk over the whole run, not one per chunk
+        // level and shard on every call.
+        const BLOCKS: u32 = 50_000;
+        const DEPTH: u32 = 128;
+        let store = ShardedStore::with_flattening(DEFAULT_SHARDS);
+        let mut prev = BlockId::GENESIS;
+        for i in 0..BLOCKS {
+            prev = store.mint(prev, ProcessId(0), 0, 1, i as u64, Payload::Empty);
+            if prev.0 >= DEPTH {
+                store.raise_flatten_target(prev.0 - DEPTH + 1);
+            }
+            store.flatten_some(FLATTEN_BUDGET);
+        }
+        assert_eq!(store.flattened_count(), BLOCKS - DEPTH + 1);
+        // Shard `s` holds the ids ≡ s below `BLOCKS + 1`; chunk `k` is
+        // installed once the shard reaches slot `2^k − 1`.
+        let installed: usize = (0..DEFAULT_SHARDS as u32)
+            .map(|s| {
+                let slots = (BLOCKS + 1 - s).div_ceil(DEFAULT_SHARDS as u32);
+                slots.ilog2() as usize + 1
+            })
+            .sum();
+        let swaps = store.flat.work.lock().swaps;
+        assert!(swaps > 0, "the run retired spine chunks");
+        assert!(
+            swaps <= installed,
+            "{swaps} spine swaps for {installed} chunks ever installed"
+        );
     }
 
     #[test]

@@ -12,7 +12,10 @@
 //!    an epoch pin — while a writer grows the chain and the flattener
 //!    retires spine chunks under them (the epoch-safety contract);
 //! 3. a deep tree driven through the full `ConcurrentBlockTree` commit
-//!    pipeline with a small watermark, checked for end-to-end consistency.
+//!    pipeline with a small watermark, checked for end-to-end consistency;
+//! 4. chunk-retirement accounting: after every flatten call, exactly the
+//!    spine chunks lying wholly below the frontier have been retired —
+//!    each once — across shard counts 1, 2 and 16.
 
 use btadt_core::prelude::*;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -281,6 +284,104 @@ fn frontier_reads_race_chunk_retirement() {
     for raw in 0..store.block_count() as u32 {
         let kids = children_of(&store, BlockId(raw));
         assert!(kids.windows(2).all(|w| w[0] < w[1]), "sorted children");
+    }
+}
+
+/// Spine chunks lying wholly below `frontier` in a store of `shards`
+/// shards: chunk `k` of shard `s` covers slots `2^k − 1 ..= 2^(k+1) − 2`,
+/// so its last id is `((2^(k+1) − 2) << log2(shards)) | s`.
+fn chunks_below(shards: usize, frontier: u32) -> u64 {
+    let shift = shards.trailing_zeros();
+    let mut n = 0;
+    for k in 0..32u32 {
+        for s in 0..shards as u64 {
+            let last = (((1u64 << (k + 1)) - 2) << shift) | s;
+            if last < frontier as u64 {
+                n += 1;
+            }
+        }
+    }
+    n
+}
+
+#[test]
+fn chunks_retire_exactly_once_below_the_frontier() {
+    for shards in [1usize, 2, 16] {
+        for seed0 in 0..4u64 {
+            let mut seed = (seed0 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ shards as u64;
+            let flat = ShardedStore::with_flattening(shards);
+            let plain = ShardedStore::with_shards(shards);
+            let dom = flat.reclaim_domain();
+            // Every retired chunk is either still pending in the reclaim
+            // domain or already freed; a chunk retired twice (or one left
+            // behind the frontier) breaks the equality.
+            let check = |flat: &ShardedStore| {
+                let retired = dom.reclaimed_items() + dom.pending_items() as u64;
+                assert_eq!(
+                    retired,
+                    chunks_below(shards, flat.flattened_count()),
+                    "{shards} shards, seed {seed0}, frontier {}",
+                    flat.flattened_count()
+                );
+            };
+            let mut ids = vec![BlockId::GENESIS];
+            for i in 0..3_000u64 {
+                let r = lcg(&mut seed);
+                let parent = if r.is_multiple_of(5) {
+                    ids[(lcg(&mut seed) as usize) % ids.len()]
+                } else {
+                    *ids.last().unwrap()
+                };
+                let txs = (0..1 + r % 3)
+                    .map(|t| Tx::new(r ^ t, (r % 7) as u32, (t % 11) as u32, r % 1000))
+                    .collect();
+                let payload = Payload::Transactions(txs);
+                let producer = ProcessId((r % 5) as u32);
+                let a = flat.mint(parent, producer, 0, 1 + r % 3, i, payload.clone());
+                let b = plain.mint(parent, producer, 0, 1 + r % 3, i, payload);
+                assert_eq!(a, b, "mirrored mints agree on ids");
+                ids.push(a);
+                // Per-mint cadence trailing the tip, as the commit path
+                // does, with a lag that wobbles so the frontier sometimes
+                // stalls and sometimes jumps.
+                let lag = 16 + (lcg(&mut seed) % 200) as u32;
+                flat.raise_flatten_target((flat.block_count() as u32).saturating_sub(lag));
+                flat.flatten_some(1 + (lcg(&mut seed) % 4) as usize);
+                check(&flat);
+                // Ragged bulk flattens now and then.
+                if i % 97 == 0 {
+                    flat.flatten_some((lcg(&mut seed) % 500) as usize);
+                    check(&flat);
+                }
+            }
+            flat.raise_flatten_target(flat.block_count() as u32);
+            while flat.flatten_some(64) > 0 {
+                check(&flat);
+            }
+            assert_eq!(flat.flattened_count(), flat.block_count() as u32);
+            dom.reclaim_quiescent();
+            assert_eq!(dom.pending_items(), 0, "every retired chunk drains");
+            check(&flat);
+
+            for &id in &ids {
+                assert_eq!(flat.meta(id), plain.meta(id), "meta of {id}");
+                assert_eq!(flat.block(id), plain.block(id), "block of {id}");
+                assert_eq!(
+                    children_of(&flat, id),
+                    children_of(&plain, id),
+                    "children of {id}"
+                );
+            }
+            let n = ids.len();
+            for _ in 0..300 {
+                let a = ids[(lcg(&mut seed) as usize) % n];
+                let b = ids[(lcg(&mut seed) as usize) % n];
+                assert_eq!(flat.is_ancestor(a, b), plain.is_ancestor(a, b));
+                assert_eq!(flat.common_ancestor(a, b), plain.common_ancestor(a, b));
+                let cut = (lcg(&mut seed) % (flat.height(a) as u64 + 1)) as u32;
+                assert_eq!(flat.ancestor_at(a, cut), plain.ancestor_at(a, cut));
+            }
+        }
     }
 }
 
