@@ -31,6 +31,7 @@ use crate::store::BlockView;
 use crate::sync::atomic::{AtomicUsize, Ordering};
 use std::cell::UnsafeCell;
 use std::fmt;
+use std::mem::ManuallyDrop;
 use std::sync::Arc;
 
 /// Grow-only shared id buffer backing [`Blockchain`] prefix views.
@@ -45,11 +46,14 @@ use std::sync::Arc;
 ///   `len > i` exists until that writer publishes one *after* the write,
 ///   so readers never observe the cell mid-write. Cross-thread visibility
 ///   of the cell contents is provided by whatever release/acquire edge
-///   hands the longer view to the reader (an `Arc` clone handed across a
-///   channel, the atomic tip publication of `crate::concurrent`, a thread
-///   join, …) — the same edge that makes the view's `len` visible.
+///   hands the longer length to the reader (an `Arc` clone handed across
+///   a channel, a thread join, …). In `crate::concurrent` that edge is
+///   the published length: an extension's cells are written before its
+///   `Release` store of the new length, and a reader builds its view
+///   ([`Blockchain::alias`]) from an `Acquire` load of it.
 /// * A sole owner (`Arc::get_mut` succeeds) may rewrite cells arbitrarily
-///   (reorg splices reuse capacity this way).
+///   (reorg splices reuse capacity this way). A published buffer is never
+///   solely owned: the publication itself holds a reference.
 struct ChainBuf {
     cells: Box<[UnsafeCell<BlockId>]>,
     /// Initialization frontier: number of immutably written cells.
@@ -230,11 +234,19 @@ impl Blockchain {
     }
 
     /// Reorg splice: keeps the first `keep` blocks and appends `suffix`.
+    /// A pure extension (`keep == len`) pushes in place, so it copies
+    /// only where [`push_in_place`](Self::push_in_place) would. Otherwise
     /// O(|suffix|) when sole owner, O(keep + |suffix|) under sharing
     /// (rewriting initialized cells is only allowed with exclusive
     /// ownership, so a shared splice copies).
     pub(crate) fn splice_in_place(&mut self, keep: usize, suffix: &[BlockId]) {
         assert!(keep >= 1 && keep <= self.len, "splice keep out of range");
+        if keep == self.len {
+            for &id in suffix {
+                self.push_in_place(id);
+            }
+            return;
+        }
         let new_len = keep + suffix.len();
         match Arc::get_mut(&mut self.buf) {
             Some(buf) if new_len <= buf.capacity() => {
@@ -256,6 +268,37 @@ impl Blockchain {
             }
         }
         self.len = new_len;
+    }
+
+    /// Whether both views share one buffer: `self` can become `other`'s
+    /// length without any cell of the shorter prefix changing.
+    #[inline]
+    pub(crate) fn same_buffer(&self, other: &Blockchain) -> bool {
+        Arc::ptr_eq(&self.buf, &other.buf)
+    }
+
+    /// A non-owning view of this chain's buffer, `len` cells long: the
+    /// buffer handle is copied bit for bit, with no refcount bump, and
+    /// never dropped. Cloning the alias takes a real reference, so its
+    /// clones are ordinary owned chains.
+    ///
+    /// # Safety
+    ///
+    /// The caller must keep `self`'s buffer alive for as long as the
+    /// alias is used (the concurrent tree does so with an epoch pin over
+    /// the publication that owns `self`), and cells `[0, len)` must be
+    /// initialized and made visible to this thread by a release/acquire
+    /// edge (see the [`ChainBuf`] protocol). `len` may exceed
+    /// `self.len()` but not the buffer's capacity.
+    #[inline]
+    pub(crate) unsafe fn alias(&self, len: usize) -> ManuallyDrop<Blockchain> {
+        debug_assert!(len >= 1 && len <= self.buf.capacity());
+        // SAFETY: a bitwise copy of the `Arc` handle; `ManuallyDrop`
+        // guarantees the copy never releases the reference it did not
+        // take, and the caller keeps the original alive meanwhile.
+        let mut view = ManuallyDrop::new(unsafe { std::ptr::read(self) });
+        view.len = len;
+        view
     }
 
     /// Chains always contain at least `b0`.
@@ -434,6 +477,50 @@ mod tests {
         assert!(a.is_prefix_of(&b));
         assert_eq!(b.prefix(2), a);
         assert_eq!(b.prefix(1), Blockchain::genesis());
+    }
+
+    #[test]
+    fn alias_views_exactly_len_cells_without_a_reference() {
+        let mut src = chain(&[0, 1, 2]);
+        src.push_in_place(BlockId(3));
+        let before = Arc::strong_count(&src.buf);
+        let owned = {
+            // SAFETY: `src` outlives the alias, and all four cells were
+            // written on this thread.
+            let alias = unsafe { src.alias(3) };
+            assert_eq!(alias.ids(), &[BlockId(0), BlockId(1), BlockId(2)]);
+            assert_eq!(alias.tip(), BlockId(2));
+            assert_eq!(Arc::strong_count(&src.buf), before, "no refcount taken");
+            let owned = (*alias).clone();
+            assert_eq!(Arc::strong_count(&src.buf), before + 1);
+            owned
+        }; // the alias goes out of scope here
+        assert_eq!(
+            Arc::strong_count(&src.buf),
+            before + 1,
+            "dropping the alias releases nothing"
+        );
+        drop(src);
+        assert_eq!(
+            Arc::strong_count(&owned.buf),
+            1,
+            "the clone owns the buffer"
+        );
+        assert_eq!(owned, chain(&[0, 1, 2]), "and outlives its source");
+    }
+
+    #[test]
+    fn extension_splice_under_sharing_keeps_the_buffer() {
+        let mut c = chain(&[0, 1]);
+        c.push_in_place(BlockId(2)); // capacity 4
+        let snap = c.clone();
+        c.splice_in_place(3, &[BlockId(3)]);
+        assert!(c.same_buffer(&snap), "a pure extension claims the frontier");
+        assert_eq!(snap.len(), 3);
+        c.splice_in_place(2, &[BlockId(9)]);
+        assert!(!c.same_buffer(&snap), "a shared reorg splice copies");
+        assert_eq!(c.ids(), &[BlockId(0), BlockId(1), BlockId(9)]);
+        assert_eq!(snap.ids(), &[BlockId(0), BlockId(1), BlockId(2)]);
     }
 
     #[test]

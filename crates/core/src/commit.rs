@@ -278,7 +278,7 @@ pub struct PipelineStats {
     /// outside the publication lock; filled in by the tree).
     pub score_ns: u64,
     /// Wall nanoseconds holding the publication lock (stage 2: WAL group
-    /// commit + chain splice + pointer swap; filled in by the tree).
+    /// commit + chain splice + publication; filled in by the tree).
     pub publish_ns: u64,
     /// Wall nanoseconds holding the stage-1 drain (selection) lock
     /// (filled in by the tree).

@@ -43,37 +43,44 @@
 //!   (`crate::selection::batch_score`). The drainer then *stages* a
 //!   publication record and releases the selection lock. **Stage 2**,
 //!   under a separate publication lock: the WAL group-commit append
-//!   (persist-then-ack), the in-place chain splice, and the boxed-chain
-//!   pointer swap. Stage 2 of one batch overlaps stage 1 of the next;
+//!   (persist-then-ack), the in-place chain splice, and the publication
+//!   of the new chain (see below). Stage 2 of one batch overlaps stage 1
+//!   of the next;
 //!   staged batches publish strictly in commit-log order (whichever
 //!   thread holds the publication lock pops them all), and every request
 //!   status lands only after the publication covering it.
 //! * **Commit generation + parking** : every publication advances a
-//!   monotone generation counter (stored *after* the pointer swap);
+//!   monotone generation counter (stored *after* the chain is published);
 //!   decide-path waiters ([`ConcurrentBlockTree::wait_committed`],
 //!   Protocol A's losers) park on it through a condvar and wake exactly
 //!   when a commit lands, instead of spinning `yield_now` against the
 //!   very thread whose graft they are waiting for.
-//! * **Lock-free reads with grace periods** (`crate::epoch`): after every
-//!   batch the selected chain `{b0}⌢f(bt)` is republished as a boxed
-//!   [`Blockchain`] through an atomic pointer swap. `read()` pins the
-//!   epoch domain and hands back a borrowed [`ChainView`] — one epoch pin
-//!   (a CAS on a thread-private padded slot) plus one `Acquire` load, no
-//!   lock and **no shared refcount**: the `Arc` bump that previously made
-//!   every full-chain read hit one shared cache line is gone from the hot
-//!   path. [`ChainView::to_owned`] upgrades to an owned [`Blockchain`]
-//!   (that `Arc` clone) for snapshots that must outlive the guard.
+//! * **Lock-free reads with grace periods** (`crate::epoch`): the
+//!   selected chain `{b0}⌢f(bt)` is published as a `(buffer, len)` pair
+//!   — an atomic pointer to a small `PubChain` holding the chain's
+//!   grow-only buffer, plus an atomic length. `read()` pins the epoch
+//!   domain and hands back a borrowed [`ChainView`] — one epoch pin (a
+//!   CAS on a thread-private padded slot), one `Acquire` pointer load and
+//!   one `Acquire` length load, no lock and **no shared refcount**.
+//!   [`ChainView::to_owned`] upgrades to an owned [`Blockchain`] (an
+//!   `Arc` clone) for snapshots that must outlive the guard.
 //!
 //! # Publication & reclamation
 //!
-//! Swapped-out snapshot boxes are *retired* into the tree's
-//! [`EpochDomain`]: a reader holding a [`ChainView`] may still be looking
-//! through the old pointer, so the box is freed only after every reader
+//! A batch that only extends the published chain leaves it on the same
+//! buffer (`crate::chain` appends through an initialization frontier, so
+//! readers' prefixes never change), and stage 2 publishes it with one
+//! `Release` store of the new length — nothing is allocated, swapped or
+//! retired. Only a buffer change (a capacity doubling, or a reorg splice
+//! under sharing) swaps in a fresh `PubChain` and *retires* the old one
+//! into the tree's [`EpochDomain`]: a reader holding a [`ChainView`] may
+//! still be looking through it, so it is freed only after every reader
 //! pinned at (or before) the swap has unpinned — the two-epoch grace
-//! period of `crate::epoch`. This replaces PR 2's grow-forever retire
-//! list: memory now tracks the *reader horizon*, not the commit count.
-//! The ordering contract is publish-before-respond: the batch's swap
-//! (`AcqRel`) happens under the publication lock, before any of the
+//! period of `crate::epoch`. Such swaps happen O(log n) times over n
+//! appends plus once per reorg, and each one sweeps the domain right
+//! away, so superseded buffers do not wait for a later sweep.
+//! The ordering contract is publish-before-respond: the batch's length
+//! store or swap happens under the publication lock, before any of the
 //! batch's `append`s return, so any read invoked after an append's
 //! response observes that append's chain (or a later one) — the property
 //! the recorded-history linearizability suite checks from the outside.
@@ -99,7 +106,7 @@ use crate::block::{Block, Payload};
 use crate::blocktree::CandidateBlock;
 use crate::chain::Blockchain;
 use crate::commit::{CommitQueue, CommitReq, FinalityWatermark, PipelineStats, Polled};
-use crate::epoch::{EpochDomain, Guard, RecycleBin};
+use crate::epoch::{EpochDomain, Guard};
 use crate::ids::BlockId;
 use crate::selection::{batch_score, SelectionAux, SelectionFn, TipUpdate};
 use crate::store::{BlockMeta, BlockStore, BlockView, TreeMembership};
@@ -111,27 +118,10 @@ use crate::wal::{
     CheckpointJob, CommitRecord, DurabilityError, RecordRef, Wal, WalConfig, WalStats,
 };
 use std::collections::{HashMap, VecDeque};
+use std::mem::ManuallyDrop;
 
 /// Default shard count for [`ShardedStore`] (must be a power of two).
 pub const DEFAULT_SHARDS: usize = 16;
-
-/// Floor of the adaptive reclamation threshold: commit paths attempt an
-/// epoch advance + bag sweep only once at least this many retirees are
-/// pending, so reclamation cost is amortized over many commits while the
-/// backlog stays a small constant (the churn stress asserts the bound
-/// from the outside).
-const RECLAIM_PENDING_MIN: usize = 32;
-
-/// Cap of the adaptive threshold. One snapshot box is retired per
-/// *publication*, so the pending count grows at the publication rate:
-/// under contention a batch of B appends retires once and the [`
-/// RECLAIM_PENDING_MIN`] floor already spaces sweeps ~B·32 appends apart,
-/// but on the uncontended inline path every append publishes (B = 1) and
-/// a static threshold would sweep 8× as often per append. The threshold
-/// scales inversely with the observed mean batch size, clamped here, so
-/// the sweep cost per *append* stays roughly constant across contention
-/// regimes — and the worst-case backlog stays a few hundred boxes.
-const RECLAIM_PENDING_MAX: usize = 256;
 
 struct Entry {
     block: Block,
@@ -1756,8 +1746,8 @@ impl BlockView for ShardedStore {
 /// Stage-1 state — the serialization point of commit decisions: what a
 /// block's mint resolution, membership insert, and selection scoring
 /// must see atomically. Publication state deliberately lives elsewhere
-/// ([`PubState`]) so the fsync and pointer swap of one batch can overlap
-/// the next batch's drain.
+/// ([`PubState`]) so the fsync and chain publication of one batch can
+/// overlap the next batch's drain.
 struct SelState {
     tree: TreeMembership,
     /// Membership inserts in commit order (parent-closed by construction):
@@ -1767,8 +1757,8 @@ struct SelState {
     /// Per-id commit-log position + 1, indexed by `BlockId` (0 = not
     /// committed). Paired with the tree-level `published_upto` counter
     /// this answers `is_committed` *publication-aware*: a block counts as
-    /// committed once a publication covering its log entry has swapped
-    /// in — the same instant its appender may be told `Some(id)`.
+    /// committed once a publication covering its log entry is readable
+    /// — the same instant its appender may be told `Some(id)`.
     log_pos: Vec<u32>,
     /// Per-rule selection scratch (GHOST subtree weights live here), fed
     /// by the batched scoring path.
@@ -1814,7 +1804,39 @@ struct PubState {
     /// vector back here once published — the steady state allocates
     /// nothing per publication.
     spare: Vec<PubBatch>,
+    /// `PubChain` swaps performed so far (cost pin for the tests).
+    #[cfg(test)]
+    swaps: usize,
 }
+
+/// The published `{b0}⌢f(bt)`: the buffer of the chain as of the last
+/// swap, and the published length within it.
+///
+/// `chain` is a reference to `PubState::chain`'s buffer taken at the
+/// swap; its own `len` is that moment's length and goes stale. While the
+/// publication chain stays on this buffer, stage 2 extends it by storing
+/// a longer `len` (`Release`, after the new cells were written). Holding
+/// the reference also keeps the buffer shared, so the publication chain
+/// can never rewrite a cell in place (`crate::chain`'s sole-owner rule).
+struct PubChain {
+    chain: Blockchain,
+    len: AtomicUsize,
+}
+
+impl PubChain {
+    fn new(chain: Blockchain) -> PubChain {
+        let len = AtomicUsize::new(chain.len());
+        PubChain { chain, len }
+    }
+}
+
+/// The `published` pointer on a cache-line pair of its own. Every
+/// `read()` loads it, and it changes only on a swap; sharing a line with
+/// the fields every publication writes (`published_tip`,
+/// `published_upto`, `commit_gen`) would make a reader's load miss after
+/// every append, and the appender's stores wait on the reader's copy.
+#[repr(align(128))]
+struct PubPtr(AtomicPtr<PubChain>);
 
 /// One stage-1 batch awaiting publication — the handoff unit between
 /// the selection lock and the publication lock.
@@ -1862,19 +1884,22 @@ struct DrainSettle {
 /// An epoch-guarded borrowed view of the published chain `{b0}⌢f(bt)` —
 /// what [`ConcurrentBlockTree::read`] returns.
 ///
-/// Dereferences to [`Blockchain`]; the pointee stays valid for as long as
-/// the view (and its epoch pin) lives, **without** bumping the chain's
-/// shared `Arc` refcount — which is what lets full-chain reads scale
-/// across reader threads instead of serializing on one refcount cache
-/// line. Call [`to_owned`](Self::to_owned) to upgrade to an owned
+/// Dereferences to [`Blockchain`]: a non-owning alias of the published
+/// buffer at the length `read` loaded, which **takes no reference** on
+/// the buffer's shared `Arc` refcount — that is what lets full-chain
+/// reads scale across reader threads instead of serializing on one
+/// refcount cache line. The alias is valid exactly as long as the view's
+/// epoch pin: the publication that owns the buffer is retired through
+/// the pinned domain. Later extensions never change the viewed prefix.
+/// Call [`to_owned`](Self::to_owned) to upgrade to an owned
 /// [`Blockchain`] (the `Arc` clone) when the snapshot must outlive the
 /// view — e.g. to store it in a recorded history.
 ///
-/// Holding a view parks its epoch pin: retired snapshots accumulate (but
+/// Holding a view parks its epoch pin: retired buffers accumulate (but
 /// are never unsafe) until it drops. Hold views briefly; hold
 /// [`Blockchain`]s long.
 pub struct ChainView<'t> {
-    chain: *const Blockchain,
+    chain: ManuallyDrop<Blockchain>,
     _guard: Guard<'t>,
 }
 
@@ -1883,11 +1908,7 @@ impl std::ops::Deref for ChainView<'_> {
 
     #[inline]
     fn deref(&self) -> &Blockchain {
-        // SAFETY: the pointee was published via `Box::into_raw` and is
-        // retired through the epoch domain this view's guard pins — it
-        // cannot be freed before the guard drops, and published chains
-        // are immutable.
-        unsafe { &*self.chain }
+        &self.chain
     }
 }
 
@@ -1954,8 +1975,8 @@ pub struct ConcurrentBlockTree<F: SelectionFn, P: ValidityPredicate> {
     /// thread staged.
     staged_upto: AtomicU64,
     /// Commit-log length covered by the current publication (monotone;
-    /// written under `publ` after the swap, read lock-free by
-    /// `is_committed`).
+    /// written under `publ` after the chain is published, read lock-free
+    /// by `is_committed`).
     published_upto: AtomicU64,
     /// Whether commits must be persisted. Set once in `open_durable`
     /// before the tree is shared; gates the per-batch id copy the
@@ -1963,22 +1984,15 @@ pub struct ConcurrentBlockTree<F: SelectionFn, P: ValidityPredicate> {
     durable: bool,
     /// Pending appends awaiting a batch drain (see `crate::commit`).
     queue: CommitQueue,
-    /// Grace-period tracking for readers of `published`. Declared before
-    /// `spares`: fields drop in declaration order, so the domain's drop
-    /// (which runs pending recycle items against the bin) precedes the
-    /// bin's.
+    /// Grace-period tracking for readers of `published`.
     epochs: EpochDomain,
-    /// Reclaimed publication boxes awaiting reuse (see `publish_locked`).
-    /// Boxed because pending epoch items hold its *address*: the tree
-    /// struct itself may be moved by the owner between an append and the
-    /// drop, but the bin's heap allocation never moves.
-    spares: Box<RecycleBin<Blockchain>>,
-    /// Current `{b0}⌢f(bt)`; always a valid leaked box.
-    published: AtomicPtr<Blockchain>,
-    /// The published chain's tip id, readable without touching the box.
+    /// Current `{b0}⌢f(bt)`; always a valid leaked box, swapped only
+    /// under `publ` when the publication chain changes buffer.
+    published: PubPtr,
+    /// The published chain's tip id, readable without touching the chain.
     published_tip: AtomicU32,
     /// Monotone commit-generation counter, bumped *after* every
-    /// publication swap (generation-after-publication: a thread that
+    /// publication (generation-after-publication: a thread that
     /// observes generation g can already `read()` the chain g published).
     /// This is what decide-path waiters park on instead of spinning.
     commit_gen: AtomicU64,
@@ -1992,9 +2006,6 @@ pub struct ConcurrentBlockTree<F: SelectionFn, P: ValidityPredicate> {
     gen_cv: Condvar,
     /// Appends committed on the inline fast path (no queue traffic).
     inline_commits: AtomicU64,
-    /// EWMA of drained batch sizes, ×8 fixed point (8 = mean batch 1.0).
-    /// Sizes the adaptive reclamation threshold.
-    avg_batch_x8: AtomicU32,
     /// Wall nanoseconds spent in stage-1 batch drains (mint resolution,
     /// membership inserts, scoring, staging) while holding the
     /// selection lock. The inline fast path is deliberately untimed —
@@ -2004,8 +2015,8 @@ pub struct ConcurrentBlockTree<F: SelectionFn, P: ValidityPredicate> {
     /// The slice of `stat_drain_ns` spent in batched selection scoring.
     stat_score_ns: AtomicU64,
     /// Wall nanoseconds spent publishing (WAL group commit, chain
-    /// splice, pointer swap) while holding the publication lock. Like
-    /// `stat_drain_ns`, this times the queue paths only: an inline
+    /// splice, length store or swap) while holding the publication lock.
+    /// Like `stat_drain_ns`, this times the queue paths only: an inline
     /// appender that claims the free publication lock publishes untimed
     /// — per-append clock reads would tax exactly the path the pipeline
     /// exists to keep cheap.
@@ -2049,10 +2060,10 @@ struct PendingCheckpoint {
 pub const DEFAULT_FINALITY_DEPTH: u32 = 128;
 
 /// Flattening work per commit-path visit (blocks copied to the slab).
-/// Like the adaptive reclamation sweep, this bounds the latency any
-/// single append donates to background maintenance; a batch of B appends
-/// advances the watermark by B, so a budget ≥ 1 per publication keeps up
-/// and 64 lets the flattener catch up quickly after bursts.
+/// This bounds the latency any single append donates to background
+/// maintenance; a batch of B appends advances the watermark by B, so a
+/// budget ≥ 1 per publication keeps up and 64 lets the flattener catch
+/// up quickly after bursts.
 const FLATTEN_BUDGET: usize = 64;
 
 impl<F: SelectionFn, P: ValidityPredicate> ConcurrentBlockTree<F, P> {
@@ -2082,6 +2093,7 @@ impl<F: SelectionFn, P: ValidityPredicate> ConcurrentBlockTree<F, P> {
         selection: F,
         predicate: P,
     ) -> Self {
+        let genesis = Blockchain::genesis();
         ConcurrentBlockTree {
             store: if watermark.is_enabled() {
                 ShardedStore::with_flattening(shards)
@@ -2098,11 +2110,16 @@ impl<F: SelectionFn, P: ValidityPredicate> ConcurrentBlockTree<F, P> {
                 aux: SelectionAux::new(),
                 tip: BlockId::GENESIS,
             }),
+            published: PubPtr(AtomicPtr::new(Box::into_raw(Box::new(PubChain::new(
+                genesis.clone(),
+            ))))),
             publ: Mutex::new(PubState {
-                chain: Blockchain::genesis(),
+                chain: genesis,
                 wal: None,
                 logged_ids: Vec::new(),
                 spare: Vec::new(),
+                #[cfg(test)]
+                swaps: 0,
             }),
             staged: Mutex::new(Vec::new()),
             staged_upto: AtomicU64::new(0),
@@ -2110,15 +2127,12 @@ impl<F: SelectionFn, P: ValidityPredicate> ConcurrentBlockTree<F, P> {
             durable: false,
             queue: CommitQueue::new(),
             epochs: EpochDomain::new(),
-            spares: Box::new(RecycleBin::new(RECLAIM_PENDING_MAX)),
-            published: AtomicPtr::new(Box::into_raw(Box::new(Blockchain::genesis()))),
             published_tip: AtomicU32::new(BlockId::GENESIS.0),
             commit_gen: AtomicU64::new(0),
             gen_waiters: AtomicUsize::new(0),
             gen_lock: Mutex::new(()),
             gen_cv: Condvar::new(),
             inline_commits: AtomicU64::new(0),
-            avg_batch_x8: AtomicU32::new(8),
             stat_drain_ns: AtomicU64::new(0),
             stat_score_ns: AtomicU64::new(0),
             stat_publish_ns: AtomicU64::new(0),
@@ -2186,16 +2200,26 @@ impl<F: SelectionFn, P: ValidityPredicate> ConcurrentBlockTree<F, P> {
 
     /// `read()`: the blockchain `{b0}⌢f(bt)` as an epoch-guarded borrowed
     /// [`ChainView`]. Lock-free and refcount-free — one epoch pin (a CAS
-    /// on a thread-private padded slot) plus one `Acquire` pointer load;
-    /// O(1) regardless of chain length, tree size, or writer activity,
-    /// and readers on different threads touch no common cache line.
+    /// on a thread-private padded slot), one `Acquire` pointer load and
+    /// one `Acquire` length load; O(1) regardless of chain length, tree
+    /// size, or writer activity, and readers on different threads write
+    /// no common cache line.
     pub fn read(&self) -> ChainView<'_> {
         let guard = self.epochs.pin();
-        // The pin (SeqCst CAS + fence) happens before this load, so the
-        // loaded box cannot complete a grace period while `guard` lives.
-        let p = self.published.load(Ordering::Acquire);
+        // The pin (SeqCst CAS) happens before this load, so the loaded
+        // publication cannot complete a grace period while `guard` lives.
+        let p = self.published.0.load(Ordering::Acquire);
+        // SAFETY: `published` always holds a live leaked box, and a
+        // swapped-out one is retired through the domain `guard` pins.
+        let publ = unsafe { &*p };
+        // Pairs with stage 2's `Release` length store (or the swap that
+        // installed `publ`): every cell below `len` is written and visible.
+        let len = publ.len.load(Ordering::Acquire);
         ChainView {
-            chain: p,
+            // SAFETY: `publ.chain` keeps the buffer alive until `publ` is
+            // freed, which the pin defers past this view; the length was
+            // acquired above.
+            chain: unsafe { publ.chain.alias(len) },
             _guard: guard,
         }
     }
@@ -2282,7 +2306,7 @@ impl<F: SelectionFn, P: ValidityPredicate> ConcurrentBlockTree<F, P> {
             // linearizes right here — no need to take the lock or enter
             // the commit queue. The check must read the *published chain
             // itself*, not the `published_tip` hint: the hint is stored
-            // after the pointer swap, so it can lag a chain another
+            // after the chain is published, so it can lag a chain another
             // operation has already observed, and deciding a response
             // from the lagging value could contradict the recorded
             // history. (The hint is only ever the optimistic mint target
@@ -2326,7 +2350,6 @@ impl<F: SelectionFn, P: ValidityPredicate> ConcurrentBlockTree<F, P> {
                 self.publish_claimed(claim);
             }
             self.settle_commit(settle, own_panic);
-            self.maybe_reclaim();
             self.maybe_flatten();
             self.run_pending_checkpoint();
             if !resolved {
@@ -2370,10 +2393,9 @@ impl<F: SelectionFn, P: ValidityPredicate> ConcurrentBlockTree<F, P> {
                 self.drain_locked(&mut sel)
             };
             self.settle_commit(settle, None);
-            // Reclamation, flattening, and checkpoint IO run off the
-            // lock: parked appenders wake on commit latency, not on
-            // maintenance latency.
-            self.maybe_reclaim();
+            // Flattening and checkpoint IO run off the lock: parked
+            // appenders wake on commit latency, not on maintenance
+            // latency.
             self.maybe_flatten();
             self.run_pending_checkpoint();
         }
@@ -2421,7 +2443,6 @@ impl<F: SelectionFn, P: ValidityPredicate> ConcurrentBlockTree<F, P> {
         }));
         // relaxed: stats counter, read only by pipeline_stats().
         self.inline_commits.fetch_add(1, Ordering::Relaxed);
-        self.record_batch_size(1);
         match run {
             Ok(()) => {
                 let claim = match committed {
@@ -2544,58 +2565,17 @@ impl<F: SelectionFn, P: ValidityPredicate> ConcurrentBlockTree<F, P> {
             settle
         };
         self.settle_commit(settle, own_panic);
-        self.maybe_reclaim();
         self.maybe_flatten();
         self.run_pending_checkpoint();
         self.guard_outcome(Some(id))
     }
 
-    /// Feeds the batch-size EWMA behind the adaptive reclamation
-    /// threshold (×8 fixed point, relaxed — a heuristic, not a ledger).
-    /// Both commit paths report: queue drains with their batch size,
-    /// inline commits as batches of one — without the inline samples the
-    /// EWMA would stay frozen at whatever the last contended burst left
-    /// (no further non-empty drains run once the workload goes
-    /// uncontended), pinning the threshold at the floor and sweeping 8×
-    /// too often on exactly the path the adaptivity exists for.
-    fn record_batch_size(&self, n: usize) {
-        // relaxed: lossy EWMA heuristic — concurrent updates may drop a
-        // sample, which only nudges the sweep threshold.
-        let old = self.avg_batch_x8.load(Ordering::Relaxed).max(8) as u64;
-        let new = (old * 7 + n as u64 * 8) / 8;
-        self.avg_batch_x8
-            .store(new.min(u32::MAX as u64) as u32, Ordering::Relaxed); // relaxed: EWMA heuristic
-    }
-
-    /// The adaptive sweep threshold: inversely proportional to the
-    /// observed mean batch size, clamped to
-    /// [`RECLAIM_PENDING_MIN`]..=[`RECLAIM_PENDING_MAX`]. One retire
-    /// happens per publication, so this holds the sweep cost per *append*
-    /// roughly constant whether appends publish one by one (inline) or in
-    /// batches (see the constants' docs).
-    fn reclaim_threshold(&self) -> usize {
-        // relaxed: heuristic read of the EWMA; any recent value will do.
-        let avg_x8 = self.avg_batch_x8.load(Ordering::Relaxed).max(8) as usize;
-        (RECLAIM_PENDING_MIN * 8 * 8 / avg_x8).clamp(RECLAIM_PENDING_MIN, RECLAIM_PENDING_MAX)
-    }
-
-    /// Amortized reclamation: sweep only when the backlog crosses the
-    /// adaptive threshold (callers outside the hot path may always call
-    /// [`EpochDomain::try_reclaim`] directly via [`epochs`](Self::epochs)).
-    fn maybe_reclaim(&self) {
-        if self.epochs.pending_items() >= self.reclaim_threshold() {
-            self.epochs.try_reclaim();
-        }
-    }
-
-    /// Bounded incremental flattening, run next to [`maybe_reclaim`] on
-    /// every commit path — off the selection lock, so parked appenders
-    /// never wait on it. A no-op unless the watermark is enabled and has
-    /// moved past the flattened frontier; the single-flattener ticket
-    /// inside [`ShardedStore::flatten_some`] keeps concurrent visitors
-    /// from duplicating work (losers return immediately).
-    ///
-    /// [`maybe_reclaim`]: Self::maybe_reclaim
+    /// Bounded incremental flattening, run on every commit path — off
+    /// the selection lock, so parked appenders never wait on it. A no-op
+    /// unless the watermark is enabled and has moved past the flattened
+    /// frontier; the single-flattener ticket inside
+    /// [`ShardedStore::flatten_some`] keeps concurrent visitors from
+    /// duplicating work (losers return immediately).
     fn maybe_flatten(&self) {
         if self.watermark.is_enabled() {
             self.store.flatten_some(FLATTEN_BUDGET);
@@ -2610,10 +2590,11 @@ impl<F: SelectionFn, P: ValidityPredicate> ConcurrentBlockTree<F, P> {
     ///
     /// A block at its own height in the published chain answers yes off
     /// one epoch-pinned `read()`, without the lock: the chain holds only
-    /// published commits. This also closes the window after the pointer
-    /// swap and before `published_upto` moves, in which a chain block is
-    /// already readable (so `wait_committed` returns and a caller may
-    /// anchor on it) but the position check below would still say no.
+    /// published commits. This also closes the window after the chain is
+    /// published and before `published_upto` moves, in which a chain
+    /// block is already readable (so `wait_committed` returns and a
+    /// caller may anchor on it) but the position check below would still
+    /// say no.
     /// Members off the published chain take the selection lock briefly
     /// for the position lookup.
     pub fn is_committed(&self, id: BlockId) -> bool {
@@ -2684,8 +2665,8 @@ impl<F: SelectionFn, P: ValidityPredicate> ConcurrentBlockTree<F, P> {
     /// the authoritative tip if the optimistic parent went stale) and a
     /// membership insert, then one *batched* selection-scoring pass over
     /// the whole batch's inserts, then one staged publication record.
-    /// Publication itself (WAL, splice, swap) and the responses are the
-    /// caller's settlement duty, performed off this lock — see
+    /// Publication itself (WAL, splice, length store) and the responses
+    /// are the caller's settlement duty, performed off this lock — see
     /// [`DrainSettle`] and [`settle_commit`](Self::settle_commit).
     ///
     /// During resolution the evolving tip is tracked without consulting
@@ -2717,8 +2698,6 @@ impl<F: SelectionFn, P: ValidityPredicate> ConcurrentBlockTree<F, P> {
             });
         }
         let t0 = std::time::Instant::now();
-        // Feed the adaptive reclamation threshold with this batch's size.
-        self.record_batch_size(batch.len());
         // A committing request records its outcome *before* its
         // membership insert runs, and the insert updates membership +
         // commit log *before* the user-code scoring stage, so whatever
@@ -2793,7 +2772,7 @@ impl<F: SelectionFn, P: ValidityPredicate> ConcurrentBlockTree<F, P> {
     /// Settles a commit episode with the selection lock released: runs
     /// stage 2 ([`publish_staged`](Self::publish_staged)), then delivers
     /// every status the drain recorded — publish-before-respond: the
-    /// publication covering those commits has swapped in by now — then
+    /// publication covering those commits is readable by now — then
     /// resumes whichever panic stage 1 captured.
     fn settle_commit(
         &self,
@@ -2985,16 +2964,17 @@ impl<F: SelectionFn, P: ValidityPredicate> ConcurrentBlockTree<F, P> {
     }
 
     /// Stage 2 of the commit pipeline: publishes every staged batch —
-    /// WAL group commit, in-place chain advance, boxed-chain pointer
-    /// swap — under the publication lock, with the selection lock
-    /// already released so the next drain proceeds concurrently.
+    /// WAL group commit, in-place chain advance, length store (or swap
+    /// on a buffer change) — under the publication lock, with the
+    /// selection lock already released so the next drain proceeds
+    /// concurrently.
     ///
     /// Whoever holds the lock pops *all* staged batches, so batches
     /// publish strictly in commit-log order no matter which thread ends
     /// up publishing, and batches staged while a publisher was fsyncing
     /// collapse into its successor's single publication (one fsync, one
-    /// swap). On return, everything the calling thread staged beforehand
-    /// is covered by a publication — its own or another's.
+    /// length store). On return, everything the calling thread staged
+    /// beforehand is covered by a publication — its own or another's.
     fn publish_staged(&self) {
         if self.published_upto.load(Ordering::Acquire) >= self.staged_upto.load(Ordering::Acquire) {
             return;
@@ -3073,8 +3053,8 @@ impl<F: SelectionFn, P: ValidityPredicate> ConcurrentBlockTree<F, P> {
         sel.log_pos[idx] = pos;
     }
 
-    /// The publication critical section proper — persist, splice, swap,
-    /// retire — for a non-empty run of staged batches in commit-log
+    /// The publication critical section proper — persist, splice,
+    /// publish — for a non-empty run of staged batches in commit-log
     /// order.
     ///
     /// `Err` means the WAL append failed (or the WAL was already
@@ -3089,8 +3069,8 @@ impl<F: SelectionFn, P: ValidityPredicate> ConcurrentBlockTree<F, P> {
         batches: &[PubBatch],
     ) -> Result<(), DurabilityError> {
         // Persist-then-ack: every commit this publication will expose
-        // must be durable *before* the pointer swap makes it readable —
-        // and the swap itself precedes the generation bump, the condvar
+        // must be durable *before* the length store or swap makes it
+        // readable — and that precedes the generation bump, the condvar
         // wakeups, and every settlement status store, so nothing
         // observable ever gets ahead of the fsync. One `append_batch`
         // call per publication means one fsync covers every batch in the
@@ -3138,21 +3118,11 @@ impl<F: SelectionFn, P: ValidityPredicate> ConcurrentBlockTree<F, P> {
             .last()
             .expect("publish_batches_locked takes a non-empty run");
         advance_chain(&self.store, &mut publ.chain, last.tip);
-        // Reuse a reclaimed publication box when one is available: the
-        // uncontended path retires one box per append, so without the
-        // bin every commit paid a malloc here and a free in the sweep.
-        let boxed = match self.spares.take() {
-            Some(mut spare) => {
-                *spare = publ.chain.clone();
-                spare
-            }
-            None => Box::new(publ.chain.clone()),
-        };
         // Watermark advance rides the publication (the pipeline's
         // natural cadence): the block `depth` links behind the new tip —
         // and everything below it — is storage-final. `fetch_max` inside
         // keeps the bound monotone across reorgs that shorten the chain.
-        if let Some(bound) = self.watermark.target_for(boxed.ids()) {
+        if let Some(bound) = self.watermark.target_for(publ.chain.ids()) {
             self.store.raise_flatten_target(bound);
         }
         // WAL compaction rides the same cadence, gated geometrically
@@ -3160,14 +3130,30 @@ impl<F: SelectionFn, P: ValidityPredicate> ConcurrentBlockTree<F, P> {
         // commit. Runs after the watermark raise so this publication's
         // own finality advance is already visible to the prefix cursor.
         self.maybe_wal_checkpoint(publ);
-        let fresh = Box::into_raw(boxed);
-        let old = self.published.swap(fresh, Ordering::AcqRel);
+        // `published` is only replaced under `publ`, which we hold.
+        let cur = self.published.0.load(Ordering::Acquire);
+        // SAFETY: the live publication is freed only after a swap, and
+        // swaps happen only under `publ`.
+        let cur_ref = unsafe { &*cur };
+        let retired = if publ.chain.same_buffer(&cur_ref.chain) {
+            // An extension: `advance_chain` wrote the new cells past the
+            // published length (claimed through the buffer's frontier,
+            // never rewritten), and this store hands them to readers.
+            debug_assert!(publ.chain.len() >= cur_ref.len.load(Ordering::Acquire));
+            cur_ref.len.store(publ.chain.len(), Ordering::Release);
+            None
+        } else {
+            // A doubling copy or a shared reorg splice moved the chain to
+            // a fresh buffer: readers need a new publication.
+            let fresh = Box::into_raw(Box::new(PubChain::new(publ.chain.clone())));
+            Some(self.published.0.swap(fresh, Ordering::AcqRel))
+        };
         self.published_tip.store(last.tip.0, Ordering::Release);
-        // Published-upto after the swap: `is_committed` may say yes only
+        // Published-upto after the chain: `is_committed` may say yes only
         // once the chain that corroborates it is readable.
         self.published_upto.store(last.upto, Ordering::Release);
         // Generation-after-publication: the counter moves only once the
-        // swap is visible, so a waiter that observes the new generation
+        // chain is visible, so a waiter that observes the new generation
         // can already `read()` the chain that covers this batch run.
         self.commit_gen.fetch_add(1, Ordering::SeqCst);
         if self.gen_waiters.load(Ordering::SeqCst) > 0 {
@@ -3179,18 +3165,23 @@ impl<F: SelectionFn, P: ValidityPredicate> ConcurrentBlockTree<F, P> {
             drop(self.gen_lock.lock());
             self.gen_cv.notify_all();
         }
-        // SAFETY: `old` came from `Box::into_raw` in `with_config` or a
-        // previous publication; reconstituting the box moves ownership
-        // into the epoch domain, which frees it only after every reader
-        // pinned at (or before) the swap has unpinned.
-        let old = unsafe { Box::from_raw(old) };
-        let bytes = old.approx_heap_bytes();
-        // SAFETY: `spares` outlives `epochs` (declaration order), the
-        // domain's drop runs every pending item, and the bin sits behind
-        // its own heap allocation so the address the deferred item keeps
-        // stays valid even if the tree struct is moved before the item
-        // runs.
-        unsafe { self.epochs.retire_box_recycling(bytes, old, &self.spares) };
+        if let Some(old) = retired {
+            // SAFETY: `old` came from `Box::into_raw` in `with_config` or
+            // a previous swap; reconstituting the box moves ownership
+            // into the epoch domain, which frees it only after every
+            // reader pinned at (or before) the swap has unpinned.
+            let old = unsafe { Box::from_raw(old) };
+            let bytes = std::mem::size_of::<PubChain>() + old.chain.approx_heap_bytes();
+            self.epochs.retire_box(bytes, old);
+            // Swaps are rare (O(log n) doublings plus reorgs), so sweep
+            // now: a superseded buffer is freed two swaps later instead
+            // of waiting for the tree's drop.
+            self.epochs.try_reclaim();
+            #[cfg(test)]
+            {
+                publ.swaps += 1;
+            }
+        }
         Ok(())
     }
 
@@ -3233,8 +3224,8 @@ impl<F: SelectionFn, P: ValidityPredicate> ConcurrentBlockTree<F, P> {
     }
 
     /// Runs a claimed WAL checkpoint, if one is pending — called on the
-    /// commit paths next to [`maybe_reclaim`](Self::maybe_reclaim) and
-    /// [`maybe_flatten`](Self::maybe_flatten), with both pipeline locks
+    /// commit paths next to [`maybe_flatten`](Self::maybe_flatten), with
+    /// both pipeline locks
     /// released. Record encoding reads the arena lock-free
     /// (checkpointed ids are storage-final, their blocks immutable), and
     /// the WAL job writes a temp file and renames — never the active
@@ -3465,7 +3456,7 @@ impl<F: SelectionFn, P: ValidityPredicate> ConcurrentBlockTree<F, P> {
         self.watermark
     }
 
-    /// The epoch-reclamation domain guarding published snapshots —
+    /// The epoch-reclamation domain guarding swapped-out publications —
     /// exposed for observability (`retired_bytes_peak`, pending garbage)
     /// and the churn stress tests.
     pub fn epochs(&self) -> &EpochDomain {
@@ -3534,11 +3525,14 @@ fn wal_record_of(store: &ShardedStore, id: BlockId) -> CommitRecord {
 
 impl<F: SelectionFn, P: ValidityPredicate> Drop for ConcurrentBlockTree<F, P> {
     fn drop(&mut self) {
-        let p = self.published.swap(std::ptr::null_mut(), Ordering::AcqRel);
+        let p = self
+            .published
+            .0
+            .swap(std::ptr::null_mut(), Ordering::AcqRel);
         // SAFETY: the current publication is the one outstanding leaked
         // box (every predecessor was retired into the epoch domain, which
-        // drops after this body and frees them); no reader can be alive,
-        // since readers borrow `self`.
+        // frees them when it drops); no reader can be alive, since
+        // readers borrow `self`.
         drop(unsafe { Box::from_raw(p) });
     }
 }
@@ -3725,7 +3719,7 @@ mod tests {
             bt.append(CandidateBlock::simple(ProcessId(0), i)).unwrap();
         }
         // The borrowed view still sees the chain it pinned — the epoch
-        // guard kept the retired box alive across 18 publications.
+        // guard kept its buffer alive across 18 publications.
         assert_eq!(view.len(), 2, "pinned view is immutable");
         assert_eq!(snap.len(), 2, "owned snapshot is immutable");
         assert!(view.is_prefix_of(&bt.read_owned()));
@@ -3734,38 +3728,106 @@ mod tests {
         assert_eq!(bt.read().len(), 20);
     }
 
+    /// `⌈log₂ n⌉ + 1`: the buffer doublings `n` extension appends can
+    /// cross from the one-cell genesis buffer.
+    fn doublings(n: u64) -> u64 {
+        n.next_power_of_two().ilog2() as u64 + 1
+    }
+
     #[test]
     fn retired_snapshots_are_reclaimed_after_readers_pass() {
         let bt = ConcurrentBlockTree::new(LongestChain, AcceptAll);
-        let n = 4 * RECLAIM_PENDING_MAX as u64;
+        let n = 1024u64;
         for i in 0..n {
             bt.append(CandidateBlock::simple(ProcessId(0), i)).unwrap();
             // Reads come and go: no pin outlives an iteration.
             assert_eq!(bt.read().len() as u64, i + 2);
         }
-        // Every publication retired a box; with no reader parked, the
-        // threshold-triggered sweeps must have kept the backlog near the
-        // (adaptive, capped) reclaim threshold, not at the commit count.
+        // Extensions publish by length; only a buffer doubling swaps in
+        // a new publication and retires the old one.
+        let retired = bt.epochs().reclaimed_items() + bt.epochs().pending_items() as u64;
         assert!(
-            bt.epochs().pending_items() <= 2 * RECLAIM_PENDING_MAX,
-            "pending garbage stays bounded: {} items",
-            bt.epochs().pending_items()
+            retired <= doublings(n),
+            "{retired} publications retired over {n} extensions"
         );
-        assert!(bt.epochs().reclaimed_items() >= n / 2);
+        assert_eq!(retired, bt.publ.lock().swaps as u64, "one retire per swap");
+        // With no reader parked, the grace period drains everything.
+        bt.epochs().reclaim_quiescent();
+        assert_eq!(bt.epochs().reclaimed_items(), retired);
+        assert_eq!(bt.epochs().pending_items(), 0);
+        assert_eq!(bt.epochs().retired_bytes(), 0);
     }
 
-    /// The adaptive threshold reacts to the observed batch size: all-
-    /// inline (batch ≈ 1) runs sweep at the cap; a drain pattern with
-    /// fat batches drags the threshold back toward the floor.
     #[test]
-    fn reclaim_threshold_adapts_to_batch_size() {
+    fn view_pinned_before_in_place_extensions_keeps_its_length_and_contents() {
         let bt = ConcurrentBlockTree::new(LongestChain, AcceptAll);
-        assert_eq!(bt.reclaim_threshold(), RECLAIM_PENDING_MAX, "mean 1.0");
-        // Simulate a contended history: fat batches reported by drains.
-        bt.avg_batch_x8.store(8 * 8, Ordering::Relaxed); // mean batch 8; relaxed: single-threaded test
-        assert_eq!(bt.reclaim_threshold(), RECLAIM_PENDING_MIN);
-        bt.avg_batch_x8.store(8 * 2, Ordering::Relaxed); // mean batch 2; relaxed: single-threaded test
-        assert_eq!(bt.reclaim_threshold(), RECLAIM_PENDING_MAX / 2);
+        for i in 0..10 {
+            bt.append(CandidateBlock::simple(ProcessId(0), i)).unwrap();
+        }
+        let view = bt.read();
+        let before = view.ids().to_vec();
+        for i in 10..1_010 {
+            bt.append(CandidateBlock::simple(ProcessId(0), i)).unwrap();
+        }
+        assert_eq!(view.len(), 11, "the view's length is fixed at read time");
+        assert_eq!(view.ids(), before.as_slice());
+        let now = bt.read_owned();
+        assert_eq!(now.len(), 1_011);
+        assert!(view.is_prefix_of(&now));
+        assert_eq!(view.to_owned().ids(), before.as_slice());
+    }
+
+    #[test]
+    fn heaviest_work_flip_swaps_exactly_once() {
+        let bt = ConcurrentBlockTree::new(HeaviestWork, AcceptAll);
+        let mut tip = BlockId::GENESIS;
+        for i in 0..5 {
+            tip = bt
+                .graft(tip, CandidateBlock::simple(ProcessId(0), i))
+                .unwrap()
+                .unwrap();
+        }
+        // Six blocks in an eight-cell buffer: room to extend in place.
+        let swaps = bt.publ.lock().swaps;
+        let side = bt
+            .graft(BlockId::GENESIS, CandidateBlock::simple(ProcessId(1), 100))
+            .unwrap()
+            .unwrap();
+        assert_eq!(bt.selected_tip(), tip, "a light side branch does not flip");
+        assert_eq!(bt.publ.lock().swaps, swaps, "and publishes without a swap");
+        let heavy = bt
+            .graft(
+                side,
+                CandidateBlock::simple(ProcessId(1), 101).with_work(10),
+            )
+            .unwrap()
+            .unwrap();
+        assert_eq!(bt.selected_tip(), heavy, "work 11 beats work 5");
+        assert_eq!(bt.read().ids(), &[BlockId::GENESIS, side, heavy]);
+        assert_eq!(bt.publ.lock().swaps, swaps + 1, "the reorg swaps once");
+        bt.graft(heavy, CandidateBlock::simple(ProcessId(1), 102))
+            .unwrap()
+            .unwrap();
+        assert_eq!(bt.publ.lock().swaps, swaps + 1, "extending it does not");
+    }
+
+    #[test]
+    fn doubling_swaps_exactly_once() {
+        let bt = ConcurrentBlockTree::new(LongestChain, AcceptAll);
+        // Fill the chain to exactly 64 blocks: a full 64-cell buffer.
+        for i in 0..63 {
+            bt.append(CandidateBlock::simple(ProcessId(0), i)).unwrap();
+        }
+        let swaps = bt.publ.lock().swaps;
+        let full = bt.read_owned();
+        bt.append(CandidateBlock::simple(ProcessId(0), 63)).unwrap();
+        assert_eq!(bt.publ.lock().swaps, swaps + 1, "the 65th block doubles");
+        for i in 64..127 {
+            bt.append(CandidateBlock::simple(ProcessId(0), i)).unwrap();
+        }
+        assert_eq!(bt.read().len(), 128);
+        assert_eq!(bt.publ.lock().swaps, swaps + 1, "the rest fits in place");
+        assert!(full.is_prefix_of(&bt.read_owned()));
     }
 
     /// Uncontended appends take the inline fast path: no queue traffic,

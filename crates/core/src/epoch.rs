@@ -1,13 +1,12 @@
 //! Epoch-based reclamation: grace periods for lock-free readers.
 //!
 //! The concurrent BT-ADT publishes its selected chain through an atomic
-//! pointer (`crate::concurrent`). Readers dereference that pointer without
-//! any lock, so the writer may never free a swapped-out snapshot while a
-//! reader might still be looking at it. PR 2 solved this by *never*
-//! freeing (retire-until-drop) — correct, but one leaked box per commit.
-//! This module supplies the missing piece: a small quiescent-state /
-//! epoch-reclamation domain, vendored in-tree like the other shims (no
-//! external crates).
+//! pointer (`crate::concurrent`), and the flattening arena unlinks spine
+//! chunks the same way. Readers dereference those pointers without any
+//! lock, so a writer may never free an unlinked object while a reader
+//! might still be looking at it. This module supplies the grace periods:
+//! a small quiescent-state / epoch-reclamation domain, vendored in-tree
+//! like the other shims (no external crates).
 //!
 //! # Protocol
 //!
@@ -25,8 +24,7 @@
 //!   the epoch read *after* the unlink. Bags live in [`LOCAL_BAG_SLOTS`]
 //!   thread-hinted slots, so a retirer locks a mutex that is effectively
 //!   its own — retiring never contends with other retirers or with a
-//!   concurrent sweep (the commit pipeline retires on every publication;
-//!   a global garbage mutex was measurable on that path).
+//!   concurrent sweep.
 //! * [`EpochDomain::try_reclaim`] advances `G` by one when every pinned
 //!   slot already carries `G`, and frees every bag at least
 //!   [`GRACE_EPOCHS`] (= 2) epochs old. The two-epoch grace period is the
@@ -100,11 +98,6 @@ enum Deferred {
     // SAFETY: the unsafe shim is only ever the monomorphized drop for the
     // exact `T` the pointer was constructed with.
     Ptr(*mut (), unsafe fn(*mut ())),
-    /// As `Ptr`, but the shim hands the box to a [`RecycleBin`] (the
-    /// third word) instead of the allocator — see
-    /// [`EpochDomain::retire_box_recycling`].
-    // SAFETY: as `Ptr`; the third word is the bin the shim was paired with.
-    Recycle(*mut (), unsafe fn(*mut (), *const ()), *const ()),
     Closure(Box<dyn FnOnce() + Send>),
 }
 
@@ -118,59 +111,9 @@ impl Deferred {
             // SAFETY: constructed from `Box::into_raw` with the matching
             // concrete type's drop shim; run exactly once.
             Deferred::Ptr(p, drop_fn) => unsafe { drop_fn(p) },
-            // SAFETY: per `retire_box_recycling`'s contract the bin
-            // behind `ctx` outlives the domain, hence this call.
-            Deferred::Recycle(p, shim, ctx) => unsafe { shim(p, ctx) },
             Deferred::Closure(f) => f(),
         }
     }
-}
-
-/// A bounded stash of spare boxes, fed by
-/// [`EpochDomain::retire_box_recycling`] once each box's grace period has
-/// passed and drained by whoever publishes next — on the commit hot path
-/// this turns the per-publication `malloc`/`free` round trip (one boxed
-/// snapshot per append, uncontended) into a mutex-guarded `Vec` pop/push.
-pub struct RecycleBin<T> {
-    spares: Mutex<Vec<Box<T>>>,
-    cap: usize,
-}
-
-impl<T> RecycleBin<T> {
-    /// A bin that keeps at most `cap` spares (beyond that, boxes fall
-    /// back to the allocator).
-    pub fn new(cap: usize) -> Self {
-        RecycleBin {
-            spares: Mutex::new(Vec::new()),
-            cap,
-        }
-    }
-
-    /// Pops a spare, if any. The box still holds its old value — callers
-    /// overwrite it (`*b = new_value`).
-    pub fn take(&self) -> Option<Box<T>> {
-        self.spares.lock().pop()
-    }
-
-    fn put(&self, value: Box<T>) {
-        let mut spares = self.spares.lock();
-        if spares.len() < self.cap {
-            spares.push(value);
-        }
-    }
-}
-
-/// # Safety
-///
-/// `p` must come from `Box::<T>::into_raw` and `ctx` from a
-/// `&RecycleBin<T>` that outlives the call (the
-/// `retire_box_recycling` contract). Called at most once per pointer.
-unsafe fn recycle_shim<T>(p: *mut (), ctx: *const ()) {
-    // SAFETY: the function's contract — `p` is an unaliased box of `T`.
-    let value = unsafe { Box::from_raw(p as *mut T) };
-    // SAFETY: the function's contract — the bin behind `ctx` is alive.
-    let bin = unsafe { &*(ctx as *const RecycleBin<T>) };
-    bin.put(value);
 }
 
 /// # Safety
@@ -358,55 +301,19 @@ impl EpochDomain {
     /// before) this call has unpinned. `bytes` is the caller's estimate of
     /// the heap the value keeps alive, tracked for the boundedness stats.
     ///
-    /// Allocation-free on the commit hot path when `value` is already a
-    /// `Box` ([`retire_box`](Self::retire_box)); this generic form boxes
-    /// once and then rides the same pointer representation.
+    /// Allocation-free when `value` is already a `Box`
+    /// ([`retire_box`](Self::retire_box)); this generic form boxes once
+    /// and then rides the same pointer representation.
     pub fn retire<T: Send + 'static>(&self, bytes: usize, value: T) {
         self.retire_box(bytes, Box::new(value));
     }
 
     /// [`retire`](Self::retire) for an already-boxed value — stores the
-    /// raw pointer plus a drop shim, no closure allocation per retire
-    /// (the commit pipeline retires one snapshot box per publication;
-    /// boxing a closure around each was a second allocation on every
-    /// uncontended append).
+    /// raw pointer plus a drop shim, no closure allocation per retire.
     pub fn retire_box<T: Send + 'static>(&self, bytes: usize, value: Box<T>) {
         self.push_deferred(
             bytes,
             Deferred::Ptr(Box::into_raw(value) as *mut (), drop_box_shim::<T>),
-        );
-    }
-
-    /// As [`retire_box`](Self::retire_box), but after the grace period
-    /// the box is offered to `bin` for reuse instead of freed — the
-    /// allocation-free loop for a hot path that retires one box per
-    /// publication and immediately needs a fresh one.
-    ///
-    /// # Safety
-    ///
-    /// `bin` must stay alive — **at its current address** — until this
-    /// item is reclaimed; in the worst case, until this domain is dropped
-    /// (the domain's `Drop` runs every pending item). The deferred item
-    /// keeps the raw pointer, so a bin embedded by value in a movable
-    /// struct is *not* enough: moving the struct between this call and
-    /// reclamation leaves the pointer dangling into the old location.
-    /// Satisfy both halves by heap-allocating the bin (e.g.
-    /// `Box<RecycleBin<T>>`) in the same struct as the domain, declared
-    /// *after* it (fields drop in declaration order, and the box's
-    /// contents never move).
-    pub unsafe fn retire_box_recycling<T: Send + 'static>(
-        &self,
-        bytes: usize,
-        value: Box<T>,
-        bin: &RecycleBin<T>,
-    ) {
-        self.push_deferred(
-            bytes,
-            Deferred::Recycle(
-                Box::into_raw(value) as *mut (),
-                recycle_shim::<T>,
-                bin as *const RecycleBin<T> as *const (),
-            ),
         );
     }
 
@@ -438,7 +345,7 @@ impl EpochDomain {
             }
         }
         // relaxed: boundedness accounting only — the bag mutex orders the
-        // garbage itself; these counters feed stats and the sweep trigger.
+        // garbage itself; these counters only feed stats.
         let now = self.retired_bytes.fetch_add(bytes, Ordering::Relaxed) + bytes;
         // Load-then-max: the peak only moves on a new high, so the common
         // case is one load instead of a cmpxchg loop per retire.
@@ -446,7 +353,7 @@ impl EpochDomain {
         if self.retired_bytes_peak.load(Ordering::Relaxed) < now {
             self.retired_bytes_peak.fetch_max(now, Ordering::Relaxed); // relaxed: stats peak
         }
-        self.pending_items.fetch_add(1, Ordering::Relaxed); // relaxed: sweep-trigger counter
+        self.pending_items.fetch_add(1, Ordering::Relaxed); // relaxed: stats counter
     }
 
     /// Tries to advance the global epoch (possible iff every pinned slot
@@ -496,7 +403,7 @@ impl EpochDomain {
             }
         }
         if freed > 0 {
-            // relaxed: sweep-trigger/stats counters, no ordering needed.
+            // relaxed: stats counters, no ordering needed.
             self.pending_items.fetch_sub(freed, Ordering::Relaxed);
             self.reclaimed_items
                 .fetch_add(freed as u64, Ordering::Relaxed); // relaxed: stats counter

@@ -1,16 +1,21 @@
-//! Reclamation churn stress: appenders retiring snapshots through the
-//! epoch domain while readers pin and unpin around them.
+//! Reclamation churn stress: appenders publishing the chain (by length
+//! on an extension, by a swap that retires the old publication through
+//! the epoch domain on a buffer change) while readers pin and unpin
+//! around them.
 //!
 //! What these tests establish, from the outside:
 //!
 //! * **No use-after-free**: every borrowed `ChainView` taken mid-churn is
 //!   internally consistent (genesis-rooted, id-monotone, tip/len
-//!   coherent) and byte-identical to its owned upgrade — a freed or
-//!   recycled buffer would tear these invariants long before a crash.
-//! * **Bounded retirement**: the retired-bag population returns to zero
-//!   at every quiescent point after the grace period is driven, and the
-//!   byte high-water mark stays far below the retire-everything-forever
-//!   volume that PR 2's retire list would have accumulated.
+//!   coherent) and byte-identical to its owned upgrade — a freed buffer
+//!   would tear these invariants long before a crash.
+//! * **Bounded retirement**: extensions retire nothing, so over n
+//!   appends at most the buffer doublings (⌈log₂ n⌉ + 1) retire a
+//!   publication; the retired-bag population returns to zero at every
+//!   quiescent point after the grace period is driven.
+//! * **Reorgs retire under pinned readers**: on `HeaviestWork`, grafts
+//!   flip the tip, every flip swaps in a new publication, and readers
+//!   racing the flips still see whole, parent-linked chains.
 //!
 //! The CI `soak` job runs this suite in release mode at
 //! `RUST_TEST_THREADS=1` and `4` — serial for maximum intra-test
@@ -20,10 +25,17 @@ use btadt_core::blocktree::CandidateBlock;
 use btadt_core::chain::Blockchain;
 use btadt_core::concurrent::ConcurrentBlockTree;
 use btadt_core::ids::{splitmix64_at, BlockId, ProcessId};
-use btadt_core::selection::LongestChain;
+use btadt_core::selection::{HeaviestWork, LongestChain};
+use btadt_core::store::BlockView;
 use btadt_core::validity::AcceptAll;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Barrier;
+
+/// `⌈log₂ n⌉ + 1`: the buffer doublings `n` extension appends can cross
+/// from the one-cell genesis buffer — the most publications they retire.
+fn doublings(n: usize) -> u64 {
+    n.next_power_of_two().ilog2() as u64 + 1
+}
 
 /// Drains every ripe bag at a quiescent point.
 fn reclaim_fully<F, P>(tree: &ConcurrentBlockTree<F, P>)
@@ -144,26 +156,28 @@ fn churn_stress_bounds_retired_bags_across_20_seeds() {
         // The ledger balances: everything retired was eventually freed.
         assert_eq!(tree.epochs().retired_bytes(), 0, "seed {seed}");
         assert!(tree.epochs().retired_bytes_peak() > 0, "seed {seed}");
+        // Extensions publish by length: only buffer doublings retired a
+        // publication (pending is zero, so reclaimed == retired).
         assert!(
-            tree.epochs().reclaimed_items() as usize >= total_appends / 2,
-            "seed {seed}: reclamation kept pace"
+            tree.epochs().reclaimed_items() <= doublings(total_appends),
+            "seed {seed}: {} publications retired over {total_appends} extensions",
+            tree.epochs().reclaimed_items()
         );
     }
 }
 
-/// Retirement now lands in per-thread bag slots (no global garbage
-/// mutex) and sweeps fire at an adaptive threshold capped at 256 pending
-/// boxes. From the outside that must look like: (a) the pending peak of
-/// an uncontended (inline-path, batch ≈ 1) run stays within a small
-/// multiple of the cap — the threshold adapts *up* but sweeps still
-/// fire; (b) at quiescence, every slot drains to zero — no bag is
-/// stranded in a slot whose retiring thread has exited.
+/// Retirement lands in per-thread bag slots (no global garbage mutex).
+/// From the outside that must look like: (a) the pending peak of an
+/// uncontended (inline-path, one publication per append) run stays
+/// small — extensions retire nothing; (b) at quiescence, every slot
+/// drains to zero — no bag is stranded in a slot whose retiring thread
+/// has exited.
 #[test]
 fn per_thread_bags_bound_the_peak_and_drain_at_quiescence() {
     let tree = ConcurrentBlockTree::new(LongestChain, AcceptAll);
     let max_pending = AtomicUsize::new(0);
-    // Phase 1: a long uncontended run — every append publishes (and
-    // retires) individually, the worst case for sweep frequency.
+    // Phase 1: a long uncontended run — every append publishes
+    // individually.
     for i in 0..2_000u64 {
         tree.append(CandidateBlock::simple(ProcessId(0), i))
             .expect("AcceptAll");
@@ -243,27 +257,34 @@ fn parked_reader_delays_but_never_loses_reclamation() {
     assert_eq!(tree.len(), 311);
 }
 
-/// Regression: deferred recycle items keep the *address* of the tree's
-/// spare-box bin, and the tree struct itself is movable safe Rust.
-/// Building a tree in one stack frame, appending (each publication parks
-/// a recycle item), and returning the tree by value must leave those
-/// items pointing at a still-valid bin. Before the bin was boxed, the
-/// move left them dangling into the dead frame and the drop below
-/// deadlocked on a mutex read from reused stack memory — found by the
-/// deep-tree bench, whose grow closure returns its tree.
+/// Regression: the tree struct is movable safe Rust, and moving it must
+/// not disturb publications still waiting in the epoch domain. (Deferred
+/// items once kept the *address* of a spare-box bin embedded in the
+/// tree, and a move left them dangling into the dead frame — found by
+/// the deep-tree bench, whose grow closure returns its tree.) Building a
+/// tree in one stack frame, crossing a buffer doubling (which retires
+/// the old publication), and returning the tree by value must leave the
+/// pending retirement valid through the move and the drop.
 #[test]
 fn tree_survives_a_move_with_pending_recycled_chains() {
     fn build() -> ConcurrentBlockTree<LongestChain, AcceptAll> {
         let tree = ConcurrentBlockTree::new(LongestChain, AcceptAll);
+        // 500 appends cross the 257-block doubling; nothing sweeps the
+        // publication it retired until the next swap.
         for i in 0..500u64 {
             tree.append(CandidateBlock::simple(ProcessId(0), i))
                 .expect("AcceptAll");
         }
-        tree // moved to the caller with recycle items still pending
+        assert!(tree.epochs().pending_items() > 0, "a retirement is pending");
+        tree // moved to the caller with the retirement still pending
     }
     let tree = build();
     // A second move, through the heap and back.
     let tree = *Box::new(tree);
+    assert!(
+        tree.epochs().pending_items() > 0,
+        "the move carries pending retirements"
+    );
     for i in 0..100u64 {
         tree.append(CandidateBlock::simple(ProcessId(1), (1 << 40) | i))
             .expect("AcceptAll");
@@ -274,9 +295,8 @@ fn tree_survives_a_move_with_pending_recycled_chains() {
     drop(tree); // must terminate and balance the byte ledger
 }
 
-/// Interleaved graft reorgs + appends + readers: reclamation under chains
-/// that shrink as well as grow (reorg splices retire buffers, not just
-/// boxes).
+/// Interleaved graft reorgs + readers: reclamation under chains that
+/// shrink as well as grow (every shared reorg splice retires a buffer).
 #[test]
 fn reorg_churn_reclaims_superseded_buffers() {
     for seed in 0..6u64 {
@@ -313,5 +333,128 @@ fn reorg_churn_reclaims_superseded_buffers() {
         reclaim_fully(&tree);
         assert_eq!(tree.epochs().pending_items(), 0, "seed {seed}");
         assert_eq!(tree.epochs().retired_bytes(), 0, "seed {seed}");
+    }
+}
+
+/// The reorg-heavy churn: 2 appenders extend the `HeaviestWork` tip, 1
+/// grafter keeps flipping it with heavy blocks grafted 1–4 links below,
+/// and 2 readers race both. Every flip is a shared reorg splice, so its
+/// publication really swaps in and the old one retires under pinned
+/// readers. Readers check each view against its owned upgrade and
+/// against the arena's parent links, and check prefix-monotonicity of
+/// their snapshots whenever no graft ran between two reads (appends
+/// alone only extend the heaviest chain).
+#[test]
+fn reorg_heavy_churn_retires_publications_under_pinned_readers() {
+    const APPENDS_EACH: u64 = 150;
+    const GRAFTS: u64 = 60;
+    const READS_EACH: u64 = 300;
+    for seed in 0..8u64 {
+        let tree = ConcurrentBlockTree::new(HeaviestWork, AcceptAll);
+        // Grafts begun / finished: a reader that sees `finished` before
+        // one read equal `started` after the next knows no graft ran in
+        // between.
+        let started = AtomicU64::new(0);
+        let finished = AtomicU64::new(0);
+        let flips = AtomicU64::new(0);
+        let barrier = Barrier::new(5);
+        std::thread::scope(|s| {
+            for a in 0..2u32 {
+                let (tree, barrier) = (&tree, &barrier);
+                s.spawn(move || {
+                    barrier.wait();
+                    for i in 0..APPENDS_EACH {
+                        let nonce = (seed << 40) | ((a as u64) << 20) | i;
+                        tree.append(CandidateBlock::simple(ProcessId(a), nonce))
+                            .expect("AcceptAll");
+                        if splitmix64_at(seed ^ 0xA11, (a as u64) << 20 | i).is_multiple_of(3) {
+                            std::thread::yield_now();
+                        }
+                    }
+                });
+            }
+            {
+                let (tree, barrier) = (&tree, &barrier);
+                let (started, finished, flips) = (&started, &finished, &flips);
+                s.spawn(move || {
+                    barrier.wait();
+                    for i in 0..GRAFTS {
+                        let r = splitmix64_at(seed ^ 0x6EAF, i);
+                        let before = tree.read_owned();
+                        let ids = before.ids();
+                        let depth = 1 + (r as usize % 4);
+                        let parent = ids[ids.len().saturating_sub(1 + depth)];
+                        started.fetch_add(1, Ordering::SeqCst);
+                        tree.graft(
+                            parent,
+                            CandidateBlock::simple(ProcessId(9), (seed << 40) | (1 << 30) | i)
+                                .with_work(8 + r % 4),
+                        )
+                        .expect("AcceptAll")
+                        .expect("AcceptAll");
+                        finished.fetch_add(1, Ordering::SeqCst);
+                        if !before.is_prefix_of(&tree.read_owned()) {
+                            flips.fetch_add(1, Ordering::Relaxed);
+                        }
+                        std::thread::yield_now();
+                    }
+                });
+            }
+            for r in 0..2u64 {
+                let (tree, barrier) = (&tree, &barrier);
+                let (started, finished) = (&started, &finished);
+                s.spawn(move || {
+                    barrier.wait();
+                    let mut last: Option<(Blockchain, u64)> = None;
+                    for i in 0..READS_EACH {
+                        let done = finished.load(Ordering::SeqCst);
+                        let view = tree.read();
+                        let ids = view.ids();
+                        assert_eq!(ids[0], BlockId::GENESIS, "views are genesis-rooted");
+                        assert_eq!(view.tip(), *ids.last().unwrap());
+                        for w in ids.windows(2) {
+                            assert_eq!(
+                                tree.store().parent(w[1]),
+                                Some(w[0]),
+                                "a view is a parent-linked path"
+                            );
+                        }
+                        let owned = view.to_owned();
+                        assert_eq!(owned.ids(), ids, "owned upgrade is bit-identical");
+                        drop(view);
+                        if let Some((prev, prev_done)) = &last {
+                            if started.load(Ordering::SeqCst) == *prev_done {
+                                assert!(
+                                    prev.is_prefix_of(&owned),
+                                    "seed {seed}: appends alone only extend the chain"
+                                );
+                            }
+                        }
+                        last = Some((owned, done));
+                        if splitmix64_at(seed ^ 0x4EAD ^ r, i).is_multiple_of(4) {
+                            std::thread::yield_now();
+                        }
+                    }
+                });
+            }
+        });
+        assert_eq!(tree.selected_tip(), tree.selected_tip_full_scan());
+        assert_eq!(
+            tree.len() as u64,
+            1 + 2 * APPENDS_EACH + GRAFTS,
+            "seed {seed}: all committed"
+        );
+        let flips = flips.load(Ordering::Relaxed);
+        assert!(flips > 0, "seed {seed}: the grafter flipped the tip");
+        reclaim_fully(&tree);
+        assert_eq!(tree.epochs().pending_items(), 0, "seed {seed}");
+        assert_eq!(tree.epochs().retired_bytes(), 0, "seed {seed}");
+        // Each flip the grafter saw is its own shared reorg splice, and
+        // each of those swapped and retired exactly one publication.
+        assert!(
+            tree.epochs().reclaimed_items() >= flips,
+            "seed {seed}: {} retirements for {flips} flips",
+            tree.epochs().reclaimed_items()
+        );
     }
 }
