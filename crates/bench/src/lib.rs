@@ -830,24 +830,21 @@ fn env_size(name: &str, default: u64) -> u64 {
 ///
 /// Appends and reads are reported as **separate series** per thread
 /// count: PR 2's combined ops/sec number hid append serialization behind
-/// the read volume. Appends are two-speed — inline commits when the
-/// selection mutex is free on the first CAS (the `inline` count), the
-/// staged batching queue when a drainer is at work (the `batch` column
-/// is the mean commits per drain) — and reads are epoch-pinned borrows
-/// with no shared refcount line. Each row also reports the epoch
-/// domain's `retired_bytes_peak` — the reclamation high-water mark over
-/// the run.
+/// the read volume. Every append commits on one path — stage 1 under the
+/// selection lock, stage 2 (whoever holds the publication lock publishes
+/// everything staged) after it — and reads are epoch-pinned borrows with
+/// no shared refcount line. Each row also reports the epoch domain's
+/// `retired_bytes_peak` — the reclamation high-water mark over the run.
 ///
 /// The `solo_append` row times one appender with no reader at the
 /// default finality watermark and with flattening disabled, so the
 /// flattener's share of the uncontended append is a committed number.
 ///
 /// The plain thread rows rarely overlap on a single-core container
-/// (appends serialize by time slice, so `mean_batch` pins at 1.0); the
-/// `contended` row forces overlap from a start barrier with a metadata
-/// scanner thread holding the selection lock in bursts
-/// (`commit_log()` clones under it), so queue pile-ups — and batches —
-/// form even time-sliced.
+/// (appends serialize by time slice); the `contended` row forces overlap
+/// from a start barrier with a metadata scanner thread holding the
+/// selection lock in bursts (`commit_log()` clones under it), so
+/// appenders pile up on the selection lock even time-sliced.
 pub fn bench_concurrent() {
     use btadt_core::concurrent::ConcurrentBlockTree;
     use btadt_core::validity::AcceptAll;
@@ -887,7 +884,7 @@ pub fn bench_concurrent() {
     };
     println!(
         "{:>22} {:>10} {:>13} {:>10} {:>13} {:>12} {:>7}",
-        "configuration", "appends", "appends/s", "reads", "reads/s", "retired peak", "batch"
+        "configuration", "appends", "appends/s", "reads", "reads/s", "retired peak", "rec/fs"
     );
     println!(
         "{:>22} {total_appends:>10} {base_append_rate:>13.0} {total_reads:>10} \
@@ -911,7 +908,7 @@ pub fn bench_concurrent() {
     // thread counts.
     let trials = env_size("BTADT_BENCH_TRIALS", 5) as usize;
     let configs = [1usize, 2, 4, 8];
-    let mut best = [(0f64, 0f64, 0usize, 0f64, 0u64, 0usize); 4];
+    let mut best = [(0f64, 0f64, 0usize, 0u64, 0usize); 4];
     let mut tip_series = [(0u64, 0f64); 4];
     for trial in 0..trials {
         for (ci, &threads) in configs.iter().enumerate() {
@@ -967,9 +964,8 @@ pub fn bench_concurrent() {
             best[ci].0 = best[ci].0.max(done_appends as f64 / append_wall);
             best[ci].1 = best[ci].1.max(done_reads as f64 / read_wall);
             best[ci].2 = best[ci].2.max(tree.epochs().retired_bytes_peak());
-            best[ci].3 = best[ci].3.max(tree.pipeline_stats().mean_batch());
-            best[ci].4 = best[ci].4.max(tree.pipeline_stats().inline_appends);
-            best[ci].5 = best[ci].5.max(tree.store().approx_heap_bytes());
+            best[ci].3 = best[ci].3.max(tree.pipeline_stats().inline_appends);
+            best[ci].4 = best[ci].4.max(tree.store().approx_heap_bytes());
             if trial == trials - 1 {
                 // Tip-read scaling on the now-populated tree:
                 // `selected_tip` is the refcount-free half of the read
@@ -1005,18 +1001,18 @@ pub fn bench_concurrent() {
         let reads_each = total_reads / threads as u64;
         let done_appends = appends_each * threads as u64;
         let done_reads = reads_each * threads as u64;
-        let (append_rate, read_rate, retired_peak, mean_batch, inline, arena) = best[ci];
+        let (append_rate, read_rate, retired_peak, inline, arena) = best[ci];
         println!(
             "{:>18} +{threads}r {done_appends:>10} {append_rate:>13.0} {done_reads:>10} \
-             {read_rate:>13.0} {retired_peak:>10} B {mean_batch:>7.2}",
+             {read_rate:>13.0} {retired_peak:>10} B {:>7}",
             format!("concurrent {threads}a"),
+            "-"
         );
         rows.push(format!(
             "    {{\"threads\": {threads}, \"label\": \"concurrent\", \"appends\": {done_appends}, \
              \"appends_per_sec\": {append_rate:.1}, \"reads\": {done_reads}, \
              \"reads_per_sec\": {read_rate:.1}, \"retired_bytes_peak\": {retired_peak}, \
-             \"mean_batch\": {mean_batch:.2}, \"inline_appends\": {inline}, \
-             \"arena_bytes\": {arena}}}"
+             \"inline_appends\": {inline}, \"arena_bytes\": {arena}}}"
         ));
         let (tip_total, tip_rate) = tip_series[ci];
         println!(
@@ -1094,20 +1090,15 @@ pub fn bench_concurrent() {
 
     // Forced-overlap contended configuration: 4 appenders released from
     // one start barrier race a metadata scanner that repeatedly clones
-    // the commit log *under the selection lock*. Appenders that hit the
-    // held lock fall back to the staged queue and pile up; whoever gets
-    // the lock next drains them as one batch — so `mean_batch` can
-    // exceed 1.0 even on a single-core container, which is what makes
-    // the batching path measurable here at all (the plain rows above
-    // only batch when the scheduler happens to preempt a lock holder).
+    // the commit log *under the selection lock*, so appenders pile up on
+    // that lock even on a single-core container (the plain rows above
+    // only overlap when the scheduler happens to preempt a lock holder).
     {
         use std::sync::atomic::{AtomicBool, Ordering as AtomicOrdering};
         let threads = 4usize;
         let appends_each = total_appends / (2 * threads as u64);
         let done_appends = appends_each * threads as u64;
-        let mut best_rate = 0f64;
-        let (mut mean_batch, mut max_batch, mut inline) = (0f64, 0u64, 0u64);
-        let (mut drain_ns, mut score_ns, mut publish_ns) = (0u64, 0u64, 0u64);
+        let (mut best_rate, mut inline) = (0f64, 0u64);
         for _ in 0..trials {
             let tree = ConcurrentBlockTree::new(LongestChain, AcceptAll);
             let done = AtomicBool::new(false);
@@ -1149,47 +1140,29 @@ pub fn bench_concurrent() {
                 wall
             });
             assert_eq!(tree.read().len() as u64, done_appends + 1);
-            let stats = tree.pipeline_stats();
             best_rate = best_rate.max(done_appends as f64 / wall);
-            // Independent maxima, like the plain configs: the best-rate
-            // trial is often the one the scanner barely touched (batch
-            // 0), while the batching evidence this row exists for comes
-            // from the trials where the overlap actually happened.
-            mean_batch = mean_batch.max(stats.mean_batch());
-            max_batch = max_batch.max(stats.max_batch);
-            inline = inline.max(stats.inline_appends);
-            drain_ns = drain_ns.max(stats.drain_lock_ns);
-            score_ns = score_ns.max(stats.score_ns);
-            publish_ns = publish_ns.max(stats.publish_ns);
+            inline = inline.max(tree.pipeline_stats().inline_appends);
         }
-        // The pipeline's whole point: of the time a drained batch spends
-        // in the machinery, how much still serializes on the selection
-        // lock (stage 1) vs the publication lock (stage 2, overlappable
-        // with the next drain). Pre-pipeline this ratio was 1.00 by
-        // construction — everything ran under the one selection lock.
-        let sel_lock_share = drain_ns as f64 / (drain_ns + publish_ns).max(1) as f64;
         println!(
-            "{:>22} {done_appends:>10} {best_rate:>13.0} {:>10} {:>13} {:>12} {mean_batch:>7.2}",
+            "{:>22} {done_appends:>10} {best_rate:>13.0} {:>10} {:>13} {:>12} {:>7}",
             format!("contended {threads}a+scan"),
-            format!("{:.2} sl", sel_lock_share),
+            "-",
+            "-",
             "-",
             "-"
         );
         rows.push(format!(
             "    {{\"threads\": {threads}, \"label\": \"contended\", \"appends\": {done_appends}, \
-             \"appends_per_sec\": {best_rate:.1}, \"mean_batch\": {mean_batch:.2}, \
-             \"max_batch\": {max_batch}, \"inline_appends\": {inline}, \
-             \"drain_lock_ns\": {drain_ns}, \"score_ns\": {score_ns}, \
-             \"publish_ns\": {publish_ns}, \"sel_lock_share\": {sel_lock_share:.3}}}"
+             \"appends_per_sec\": {best_rate:.1}, \"inline_appends\": {inline}}}"
         ));
     }
 
     // Fork-heavy GHOST contended configuration: the same forced-overlap
     // recipe, but under the rule whose scoring actually walks the tree —
     // 4 appenders extending the GHOST tip race a forker grafting at
-    // random depths of the published chain (real reorg pressure, so the
-    // batched scoring path exercises subtree partitioning and the
-    // converging weight walk, not just the chain-rule max).
+    // random depths of the published chain (real reorg pressure, so
+    // `on_insert` exercises GHOST's weight bookkeeping off the chain, not
+    // just the chain-rule max).
     {
         use btadt_core::selection::Ghost;
         use std::sync::atomic::{AtomicBool, Ordering as AtomicOrdering};
@@ -1197,9 +1170,7 @@ pub fn bench_concurrent() {
         let appends_each = total_appends / (2 * threads as u64);
         let grafts: u64 = appends_each / 4;
         let done_appends = appends_each * threads as u64;
-        let mut best_rate = 0f64;
-        let (mut mean_batch, mut max_batch, mut inline) = (0f64, 0u64, 0u64);
-        let (mut drain_ns, mut score_ns, mut publish_ns) = (0u64, 0u64, 0u64);
+        let (mut best_rate, mut inline) = (0f64, 0u64);
         for _ in 0..trials {
             let tree = ConcurrentBlockTree::new(Ghost::default(), AcceptAll);
             let done = AtomicBool::new(false);
@@ -1256,30 +1227,21 @@ pub fn bench_concurrent() {
                 "every append and graft must have committed"
             );
             assert_eq!(tree.selected_tip(), tree.selected_tip_full_scan());
-            let stats = tree.pipeline_stats();
             best_rate = best_rate.max(done_appends as f64 / wall);
-            mean_batch = mean_batch.max(stats.mean_batch());
-            max_batch = max_batch.max(stats.max_batch);
-            inline = inline.max(stats.inline_appends);
-            drain_ns = drain_ns.max(stats.drain_lock_ns);
-            score_ns = score_ns.max(stats.score_ns);
-            publish_ns = publish_ns.max(stats.publish_ns);
+            inline = inline.max(tree.pipeline_stats().inline_appends);
         }
-        let sel_lock_share = drain_ns as f64 / (drain_ns + publish_ns).max(1) as f64;
         println!(
-            "{:>22} {done_appends:>10} {best_rate:>13.0} {:>10} {:>13} {:>12} {mean_batch:>7.2}",
+            "{:>22} {done_appends:>10} {best_rate:>13.0} {:>10} {:>13} {:>12} {:>7}",
             format!("ghost-fork {threads}a+f+s"),
-            format!("{:.2} sl", sel_lock_share),
+            "-",
+            "-",
             "-",
             "-"
         );
         rows.push(format!(
             "    {{\"threads\": {threads}, \"label\": \"contended_ghost\", \
              \"appends\": {done_appends}, \"grafts\": {grafts}, \
-             \"appends_per_sec\": {best_rate:.1}, \"mean_batch\": {mean_batch:.2}, \
-             \"max_batch\": {max_batch}, \"inline_appends\": {inline}, \
-             \"drain_lock_ns\": {drain_ns}, \"score_ns\": {score_ns}, \
-             \"publish_ns\": {publish_ns}, \"sel_lock_share\": {sel_lock_share:.3}}}"
+             \"appends_per_sec\": {best_rate:.1}, \"inline_appends\": {inline}}}"
         ));
     }
     // Deep-tree configuration: the same chain grown to `BTADT_BENCH_DEEP`
@@ -1386,11 +1348,11 @@ pub fn bench_concurrent() {
 
     // Durable configuration: the same append workload with the WAL on —
     // every publication fsynced before its appends return
-    // (persist-then-ack). The number to watch is records-per-fsync:
-    // group commit rides the one-publication-per-batch cadence, so the
-    // fsync count tracks publications, not appends. One appender is the
-    // worst case (every append can be its own publication); four
-    // appenders show queue pile-ups amortizing the fsync across a batch.
+    // (persist-then-ack). The number to watch is records-per-fsync: the
+    // publisher pops every staged record, so the fsync count tracks
+    // publications, not appends. One appender is the worst case (every
+    // append is its own publication); with four, records staged while a
+    // publisher fsyncs can share its successor's fsync.
     {
         use btadt_core::commit::FinalityWatermark;
         use btadt_core::wal::WalConfig;

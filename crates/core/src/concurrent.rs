@@ -19,36 +19,26 @@
 //!   at a time, so there is no lock-order cycle. Every shard write bumps a
 //!   per-shard generation counter, which is what lets [`SnapshotCache`]
 //!   extend a sequential snapshot incrementally against a *live* tree.
-//! * **Two-stage commit pipeline** (`crate::commit`): tree membership,
-//!   the commit log, and selection scoring still live behind one mutex —
-//!   the linearization point of successful appends — but that critical
-//!   section now holds only what must be serial. An `append` mints and
-//!   pre-validates against the published tip outside any lock, *moving*
-//!   its payload into the arena (the append path clones nothing). If the
-//!   selection mutex is free on the first CAS, the append commits
-//!   **inline** — no request node, no queue traffic, no status-word
-//!   roundtrip: the uncontended path costs the mint plus one lock.
-//!   Otherwise a drainer is at work: the append *enqueues* a commit
-//!   request on a lock-free MPSC queue, and whichever enqueued appender
-//!   acquires the selection mutex next (contended appenders park and are
-//!   usually resolved by the incumbent — a combining lock) drains the
-//!   queue as a batch. **Stage 1**, under the selection lock: mint
-//!   resolution (a request whose optimistic parent lost the race is
+//! * **Two-stage commit pipeline, one path** (`crate::commit`): tree
+//!   membership, the commit log, and selection scoring live behind one
+//!   mutex — the linearization point of successful appends — and that
+//!   critical section holds only what must be serial. An `append` mints
+//!   and pre-validates against the published tip outside any lock,
+//!   *moving* its payload into the arena (the append path clones
+//!   nothing). Every commit — `append` and `graft` alike — then runs the
+//!   same two stages. **Stage 1**, under the selection lock: mint
+//!   resolution (a mint whose optimistic parent lost the race is
 //!   re-minted under the authoritative tip, payload read back from the
-//!   orphan — the only copy, on the slow path only), membership inserts,
-//!   and *batched* selection scoring — the batch's inserts are
-//!   partitioned by genesis-child subtree, scored per shard into
-//!   mergeable partials, folded with the associative
-//!   `AuxPartial::merge`, and applied to the selection aux once
-//!   (`crate::selection::batch_score`). The drainer then *stages* a
-//!   publication record and releases the selection lock. **Stage 2**,
-//!   under a separate publication lock: the WAL group-commit append
-//!   (persist-then-ack), the in-place chain splice, and the publication
-//!   of the new chain (see below). Stage 2 of one batch overlaps stage 1
-//!   of the next;
-//!   staged batches publish strictly in commit-log order (whichever
-//!   thread holds the publication lock pops them all), and every request
-//!   status lands only after the publication covering it.
+//!   orphan — the only copy, on the slow path only), the membership
+//!   insert, one incremental `on_insert` re-selection, and *staging* a
+//!   publication record. **Stage 2**, after the selection lock drops,
+//!   under a separate publication lock: whoever holds it pops *every*
+//!   staged record and publishes them as one — the WAL group-commit
+//!   append (persist-then-ack), the in-place chain splice, and the
+//!   publication of the new chain (see below). Stage 2 of one commit
+//!   overlaps stage 1 of the next; records publish strictly in
+//!   commit-log order, and an append returns only after the publication
+//!   covering it.
 //! * **Commit generation + parking** : every publication advances a
 //!   monotone generation counter (stored *after* the chain is published);
 //!   decide-path waiters ([`ConcurrentBlockTree::wait_committed`],
@@ -67,11 +57,11 @@
 //!
 //! # Publication & reclamation
 //!
-//! A batch that only extends the published chain leaves it on the same
-//! buffer (`crate::chain` appends through an initialization frontier, so
-//! readers' prefixes never change), and stage 2 publishes it with one
-//! `Release` store of the new length — nothing is allocated, swapped or
-//! retired. Only a buffer change (a capacity doubling, or a reorg splice
+//! A publication that only extends the published chain leaves it on the
+//! same buffer (`crate::chain` appends through an initialization
+//! frontier, so readers' prefixes never change), and stage 2 publishes it
+//! with one `Release` store of the new length — nothing is allocated,
+//! swapped or retired. Only a buffer change (a capacity doubling, or a reorg splice
 //! under sharing) swaps in a fresh `PubChain` and *retires* the old one
 //! into the tree's [`EpochDomain`]: a reader holding a [`ChainView`] may
 //! still be looking through it, so it is freed only after every reader
@@ -79,9 +69,9 @@
 //! period of `crate::epoch`. Such swaps happen O(log n) times over n
 //! appends plus once per reorg, and each one sweeps the domain right
 //! away, so superseded buffers do not wait for a later sweep.
-//! The ordering contract is publish-before-respond: the batch's length
-//! store or swap happens under the publication lock, before any of the
-//! batch's `append`s return, so any read invoked after an append's
+//! The ordering contract is publish-before-respond: a publication's
+//! length store or swap happens under the publication lock, before any
+//! `append` it covers returns, so any read invoked after an append's
 //! response observes that append's chain (or a later one) — the property
 //! the recorded-history linearizability suite checks from the outside.
 //!
@@ -105,10 +95,10 @@
 use crate::block::{Block, Payload};
 use crate::blocktree::CandidateBlock;
 use crate::chain::Blockchain;
-use crate::commit::{CommitQueue, CommitReq, FinalityWatermark, PipelineStats, Polled};
+use crate::commit::{FinalityWatermark, PipelineStats};
 use crate::epoch::{EpochDomain, Guard};
 use crate::ids::BlockId;
-use crate::selection::{batch_score, SelectionAux, SelectionFn, TipUpdate};
+use crate::selection::{SelectionAux, SelectionFn, TipUpdate};
 use crate::store::{BlockMeta, BlockStore, BlockView, TreeMembership};
 use crate::sync::atomic::{AtomicBool, AtomicPtr, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use crate::sync::{Condvar, Mutex};
@@ -1746,8 +1736,8 @@ impl BlockView for ShardedStore {
 /// Stage-1 state — the serialization point of commit decisions: what a
 /// block's mint resolution, membership insert, and selection scoring
 /// must see atomically. Publication state deliberately lives elsewhere
-/// ([`PubState`]) so the fsync and chain publication of one batch can
-/// overlap the next batch's drain.
+/// ([`PubState`]) so the fsync and chain publication of one commit can
+/// overlap the next commit's stage 1.
 struct SelState {
     tree: TreeMembership,
     /// Membership inserts in commit order (parent-closed by construction):
@@ -1761,7 +1751,7 @@ struct SelState {
     /// — the same instant its appender may be told `Some(id)`.
     log_pos: Vec<u32>,
     /// Per-rule selection scratch (GHOST subtree weights live here), fed
-    /// by the batched scoring path.
+    /// by each commit's `on_insert`.
     aux: SelectionAux,
     /// The selected tip over the committed membership — authoritative,
     /// unlike the lag-prone `published_tip` hint.
@@ -1779,28 +1769,27 @@ struct WalState {
 
 /// Stage-2 state — everything publication needs, behind its own lock so
 /// stage 1 never waits on an fsync. Lock order: `publ` is only ever
-/// *waited on* with `sel` released; the inline fast path may *claim* it
-/// inside `sel` via a non-blocking `try_lock` (safe because no holder of
-/// `publ` ever waits on `sel`). The only locks taken while holding
-/// `publ` are the `staged` and `pending_ckpt` leaves.
+/// acquired with `sel` released — never inside a `sel` region, not even
+/// by a non-blocking try. The only locks taken while holding `publ` are
+/// the `staged` and `pending_ckpt` leaves.
 struct PubState {
     /// The published `{b0}⌢f(bt)` chain, advanced in place a whole
-    /// batch at a time (`crate::tipcache::advance_chain`): a direct
+    /// publication at a time (`crate::tipcache::advance_chain`): a direct
     /// extension pushes, anything else splices at the fork.
     chain: Blockchain,
     /// The durable commit log, when this tree was opened with
     /// [`ConcurrentBlockTree::open_durable`]. The WAL append runs here
-    /// in stage 2: one group-commit fsync covers every batch staged
+    /// in stage 2: one group-commit fsync covers every record staged
     /// since the previous publication, and persist-then-ack holds
-    /// because statuses land only after
+    /// because a commit returns only after
     /// [`publish_staged`](ConcurrentBlockTree::publish_staged) returns.
     wal: Option<WalState>,
-    /// Commit-log mirror (durable trees only), extended as batches
+    /// Commit-log mirror (durable trees only), extended as records
     /// publish: lets the checkpoint cursor and its prefix snapshot run
     /// entirely under the publication lock without retaking `sel`.
     logged_ids: Vec<BlockId>,
-    /// Recycled batch buffer: publishers drain the staged queue by
-    /// swapping this (empty, capacity retained) in, and park the drained
+    /// Recycled record buffer: publishers pop the staged records by
+    /// swapping this (empty, capacity retained) in, and park the popped
     /// vector back here once published — the steady state allocates
     /// nothing per publication.
     spare: Vec<PubBatch>,
@@ -1838,47 +1827,28 @@ impl PubChain {
 #[repr(align(128))]
 struct PubPtr(AtomicPtr<PubChain>);
 
-/// One stage-1 batch awaiting publication — the handoff unit between
+/// A field on cache-line pairs of its own, for the same reason as
+/// [`PubPtr`]. Two fields need it: the epoch domain, whose global epoch
+/// and slot table every `read()` loads, and the `staged` handoff, which
+/// every commit locks twice (push under `sel`, pop under `publ`). Left
+/// next to other tree fields, the single commit path ran `ledger` ≈ 7%
+/// (epoch domain padded alone) to ≈ 22% (neither padded) below the
+/// two-path tree's appends/s, and the reader's p99 rose 2.5x.
+#[repr(align(128))]
+struct Padded<T>(T);
+
+/// One stage-1 commit awaiting publication — the handoff unit between
 /// the selection lock and the publication lock.
 struct PubBatch {
-    /// Commit-log length after this batch: what `published_upto`
-    /// becomes once a swap covers it.
+    /// Commit-log length after this commit: what `published_upto`
+    /// becomes once a publication covers it.
     upto: u64,
-    /// The selected tip after this batch.
+    /// The selected tip after this commit.
     tip: BlockId,
-    /// The batch's newly committed ids in commit order, for the stage-2
-    /// WAL append (left empty on volatile trees, which publish
-    /// tip-only).
-    ids: Vec<BlockId>,
-}
-
-/// An inline publication claim: the appender found the publication lock
-/// free (one non-blocking try, made while still holding the selection
-/// lock) and owns stage 2 outright — its batch, appended after whatever
-/// the staged queue held, publishes directly once the selection lock
-/// drops, with no queue push and no second staged-mutex round trip.
-struct ClaimedPub<'t> {
-    publ: crate::sync::MutexGuard<'t, PubState>,
-    /// The run to publish, in commit-log order; the claimant's own batch
-    /// is last.
-    batches: Vec<PubBatch>,
-}
-
-/// A completed stage-1 drain awaiting settlement. `CommitQueue::take_all`
-/// removed the requests from the queue, so whoever holds this owes every
-/// one a status — delivered by
-/// [`settle_commit`](ConcurrentBlockTree::settle_commit) only *after*
-/// the covering publication (publish-before-respond), with the selection
-/// lock already released so responses wait on stage 2 without the lock
-/// waiting too.
-struct DrainSettle {
-    batch: Vec<*const CommitReq>,
-    /// Outcome per request, index-aligned with `batch`; a missing tail
-    /// (user-code panic mid-batch) resolves as rejected.
-    outcomes: Vec<Option<BlockId>>,
-    /// A user-code panic captured mid-drain, resumed by settlement after
-    /// the statuses are delivered — nobody waits forever.
-    panic: Option<Box<dyn std::any::Any + Send>>,
+    /// The newly committed id, for the stage-2 WAL append (`None` on
+    /// volatile trees, which publish tip-only, and for the recovered
+    /// chain, which is already durable).
+    id: Option<BlockId>,
 }
 
 /// An epoch-guarded borrowed view of the published chain `{b0}⌢f(bt)` —
@@ -1963,12 +1933,12 @@ pub struct ConcurrentBlockTree<F: SelectionFn, P: ValidityPredicate> {
     /// Stage-2 publication state (chain, WAL, checkpoint cursor); see
     /// [`PubState`] for the lock order.
     publ: Mutex<PubState>,
-    /// Stage-1 → stage-2 handoff: batches staged under `sel` in
+    /// Stage-1 → stage-2 handoff: commits staged under `sel` in
     /// commit-log order, popped (all at once) under `publ`. A leaf lock:
     /// pushed to inside `sel`, popped inside `publ`, never held across
     /// any other acquisition.
-    staged: Mutex<Vec<PubBatch>>,
-    /// Commit-log length covered by staged batches (monotone; written
+    staged: Padded<Mutex<Vec<PubBatch>>>,
+    /// Commit-log length covered by staged commits (monotone; written
     /// under `sel`). With `published_upto` this forms the fast path of
     /// [`publish_staged`](Self::publish_staged): publication caught up
     /// means some other publisher already covered everything this
@@ -1979,13 +1949,11 @@ pub struct ConcurrentBlockTree<F: SelectionFn, P: ValidityPredicate> {
     /// by `is_committed`).
     published_upto: AtomicU64,
     /// Whether commits must be persisted. Set once in `open_durable`
-    /// before the tree is shared; gates the per-batch id copy the
-    /// stage-2 WAL append consumes.
+    /// before the tree is shared; gates the staged id the stage-2 WAL
+    /// append consumes.
     durable: bool,
-    /// Pending appends awaiting a batch drain (see `crate::commit`).
-    queue: CommitQueue,
     /// Grace-period tracking for readers of `published`.
-    epochs: EpochDomain,
+    epochs: Padded<EpochDomain>,
     /// Current `{b0}⌢f(bt)`; always a valid leaked box, swapped only
     /// under `publ` when the publication chain changes buffer.
     published: PubPtr,
@@ -2004,27 +1972,15 @@ pub struct ConcurrentBlockTree<F: SelectionFn, P: ValidityPredicate> {
     /// check-then-park race (see [`wait_commit_past`](Self::wait_commit_past)).
     gen_lock: Mutex<()>,
     gen_cv: Condvar,
-    /// Appends committed on the inline fast path (no queue traffic).
-    inline_commits: AtomicU64,
-    /// Wall nanoseconds spent in stage-1 batch drains (mint resolution,
-    /// membership inserts, scoring, staging) while holding the
-    /// selection lock. The inline fast path is deliberately untimed —
-    /// its per-append clock reads would tax exactly the path the
-    /// pipeline exists to keep cheap; `inline_appends` counts it.
-    stat_drain_ns: AtomicU64,
-    /// The slice of `stat_drain_ns` spent in batched selection scoring.
-    stat_score_ns: AtomicU64,
-    /// Wall nanoseconds spent publishing (WAL group commit, chain
-    /// splice, length store or swap) while holding the publication lock.
-    /// Like `stat_drain_ns`, this times the queue paths only: an inline
-    /// appender that claims the free publication lock publishes untimed
-    /// — per-append clock reads would tax exactly the path the pipeline
-    /// exists to keep cheap.
-    stat_publish_ns: AtomicU64,
+    /// Appends that reached stage 1 (reported as
+    /// [`PipelineStats::inline_appends`]). Nothing on the commit path
+    /// reads a clock: per-append clock reads cost the uncontended append
+    /// measurably.
+    appends: AtomicU64,
     /// A WAL checkpoint claimed under the selection lock but not yet
     /// written: the O(prefix) record encoding, temp-file write, fsync,
     /// and rename all run in [`run_pending_checkpoint`] *off* the
-    /// selection lock — parked appenders wake on commit latency, not
+    /// selection lock — waiting committers wake on commit latency, not
     /// maintenance latency. Lock order: this mutex is only ever taken
     /// either alone or *inside* `sel` (the stash), never held while
     /// waiting on `sel`.
@@ -2061,10 +2017,14 @@ pub const DEFAULT_FINALITY_DEPTH: u32 = 128;
 
 /// Flattening work per commit-path visit (blocks copied to the slab).
 /// This bounds the latency any single append donates to background
-/// maintenance; a batch of B appends advances the watermark by B, so a
-/// budget ≥ 1 per publication keeps up and 64 lets the flattener catch
-/// up quickly after bursts.
+/// maintenance; a publication covering B appends advances the watermark
+/// by B, so a budget ≥ 1 per append keeps up and 64 lets the flattener
+/// catch up quickly after bursts.
 const FLATTEN_BUDGET: usize = 64;
+
+/// A user-code panic captured in stage 1, resumed once the commit's
+/// publication is in.
+type Panic = Box<dyn std::any::Any + Send>;
 
 impl<F: SelectionFn, P: ValidityPredicate> ConcurrentBlockTree<F, P> {
     /// A tree holding only `b0`, with [`DEFAULT_SHARDS`] store shards and
@@ -2121,21 +2081,17 @@ impl<F: SelectionFn, P: ValidityPredicate> ConcurrentBlockTree<F, P> {
                 #[cfg(test)]
                 swaps: 0,
             }),
-            staged: Mutex::new(Vec::new()),
+            staged: Padded(Mutex::new(Vec::new())),
             staged_upto: AtomicU64::new(0),
             published_upto: AtomicU64::new(0),
             durable: false,
-            queue: CommitQueue::new(),
-            epochs: EpochDomain::new(),
+            epochs: Padded(EpochDomain::new()),
             published_tip: AtomicU32::new(BlockId::GENESIS.0),
             commit_gen: AtomicU64::new(0),
             gen_waiters: AtomicUsize::new(0),
             gen_lock: Mutex::new(()),
             gen_cv: Condvar::new(),
-            inline_commits: AtomicU64::new(0),
-            stat_drain_ns: AtomicU64::new(0),
-            stat_score_ns: AtomicU64::new(0),
-            stat_publish_ns: AtomicU64::new(0),
+            appends: AtomicU64::new(0),
             pending_ckpt: Mutex::new(None),
             poisoned: AtomicBool::new(false),
             poison_err: Mutex::new(None),
@@ -2190,7 +2146,7 @@ impl<F: SelectionFn, P: ValidityPredicate> ConcurrentBlockTree<F, P> {
     /// on a poisoned tree that means a publication that succeeded
     /// *before* the poisoning. Anything else (an uncovered insert, or a
     /// commit skipped outright) surfaces the poisoning error instead of
-    /// a status the durable log cannot corroborate.
+    /// an ack the durable log cannot corroborate.
     fn guard_outcome(&self, outcome: Option<BlockId>) -> Result<Option<BlockId>, DurabilityError> {
         match outcome {
             Some(id) if self.is_poisoned() && !self.is_committed(id) => Err(self.poison_error()),
@@ -2205,7 +2161,7 @@ impl<F: SelectionFn, P: ValidityPredicate> ConcurrentBlockTree<F, P> {
     /// size, or writer activity, and readers on different threads write
     /// no common cache line.
     pub fn read(&self) -> ChainView<'_> {
-        let guard = self.epochs.pin();
+        let guard = self.epochs.0.pin();
         // The pin (SeqCst CAS) happens before this load, so the loaded
         // publication cannot complete a grace period while `guard` lives.
         let p = self.published.0.load(Ordering::Acquire);
@@ -2240,8 +2196,8 @@ impl<F: SelectionFn, P: ValidityPredicate> ConcurrentBlockTree<F, P> {
     /// surface of Def. 3.1 (append/read — what the recorded-history
     /// checkers judge) is unaffected; internal users treat it as the
     /// optimistic mint target, where a stale answer only costs a re-mint
-    /// in the drain. Callers that need the tip consistent with a chain
-    /// should take one `read()` and use [`Blockchain::tip`].
+    /// under the selection lock. Callers that need the tip consistent
+    /// with a chain should take one `read()` and use [`Blockchain::tip`].
     pub fn selected_tip(&self) -> BlockId {
         BlockId(self.published_tip.load(Ordering::Acquire))
     }
@@ -2250,30 +2206,23 @@ impl<F: SelectionFn, P: ValidityPredicate> ConcurrentBlockTree<F, P> {
     /// `candidate` under the tip of `f(bt)`; if valid it joins the tree
     /// (returning its id), else the tree is unchanged and `None` returns.
     ///
-    /// Two-speed (see `crate::commit`): the mint and validity check run
-    /// outside any lock against the published tip — the candidate's
-    /// payload is *moved* into the arena, never cloned (a re-mint after a
-    /// lost tip race reads it back from the orphan; that is the only copy
-    /// on the whole path). Then:
+    /// The mint and validity check run outside any lock against the
+    /// published tip — the candidate's payload is *moved* into the arena,
+    /// never cloned (a re-mint after a lost tip race reads it back from
+    /// the orphan; that is the only copy on the whole path). A rejection
+    /// under a tip that is still published is definitive and returns
+    /// without taking any lock. Otherwise the append takes the selection
+    /// lock and runs stage 1 (`commit_locked`): resolve the mint against
+    /// the authoritative tip (re-minting under it if the optimistic parent
+    /// went stale), insert, re-select, and stage the publication. It then
+    /// drops the lock and runs stage 2 (`publish_staged`), which
+    /// publishes everything staged so far — its own commit, and any
+    /// staged while a previous publisher held the publication lock — as
+    /// one group commit.
     ///
-    /// * **Inline fast path**: if the selection mutex is free on the
-    ///   first CAS (`try_lock`), commit right here — membership insert
-    ///   and re-selection under the lock, publication staged and
-    ///   performed right after its release — with no request node, no
-    ///   queue push, and no status-word roundtrip. With a single appender
-    ///   this is every append, and it costs the mint plus one uncontended
-    ///   lock (per stage).
-    /// * **Staged queue**: otherwise a drainer is at work; push a
-    ///   stack-allocated [`CommitReq`] onto the MPSC queue and race for
-    ///   the drain ticket. Whichever appender wins drains the *whole*
-    ///   queue as one stage-1 batch (one staged publication), re-minting
-    ///   stale-parent requests under the authoritative tip.
-    ///
-    /// Either way the append returns only after the publication covering
-    /// its commit: publish-before-respond. The linearization point is the
-    /// resolution under the selection lock; the recorded-history suites
-    /// check both paths from the outside (the inline path is
-    /// indistinguishable from a batch of one).
+    /// The append returns only after the publication covering its
+    /// commit: publish-before-respond. The linearization point is the
+    /// membership insert under the selection lock.
     ///
     /// `Ok(None)` means the validity predicate `P` rejected the block —
     /// the Def. 3.1 rejection, tree unchanged. `Err` means the tree is
@@ -2303,161 +2252,104 @@ impl<F: SelectionFn, P: ValidityPredicate> ConcurrentBlockTree<F, P> {
         if !prevalidated {
             // `P` refused the block. If the tip it was minted under is
             // still the published one, the rejection is definitive and
-            // linearizes right here — no need to take the lock or enter
-            // the commit queue. The check must read the *published chain
-            // itself*, not the `published_tip` hint: the hint is stored
-            // after the chain is published, so it can lag a chain another
-            // operation has already observed, and deciding a response
-            // from the lagging value could contradict the recorded
-            // history. (The hint is only ever the optimistic mint target
-            // above, where staleness costs a re-mint, never an outcome.)
+            // linearizes right here — no need to take the lock. The check
+            // must read the *published chain itself*, not the
+            // `published_tip` hint: the hint is stored after the chain is
+            // published, so it can lag a chain another operation has
+            // already observed, and deciding a response from the lagging
+            // value could contradict the recorded history. (The hint is
+            // only ever the optimistic mint target above, where staleness
+            // costs a re-mint, never an outcome.)
             let published = self.read();
             if published.tip() == parent {
                 return Ok(None);
             }
             // The tip moved under us: re-decide under the authoritative
-            // tip (inline or in the drain).
+            // tip.
         }
-        // Inline fast path: one CAS — uncontended appends never touch the
-        // queue or a status word. Any batch that queued meanwhile is
-        // drained first (its owners are parked on the very lock we
-        // hold); if that drain hit a user-code panic, our own mint is
-        // left unresolved and the panic resumes on this thread after the
-        // batch settles — exactly as if the drain had panicked while we
-        // were parked behind it.
-        if let Some(mut sel) = self.sel.try_lock() {
-            let settle = self.drain_locked(&mut sel);
-            let mut outcome = None;
-            let mut own_panic = None;
-            let mut claimed = None;
-            let mut resolved = false;
-            // A tree poisoned since the entry check commits nothing
-            // further: membership (hence stage-1 insert order) must not
-            // grow past what the durable log can ever corroborate.
-            if settle.as_ref().is_none_or(|s| s.panic.is_none()) && !self.is_poisoned() {
-                let (o, c, p) =
-                    self.commit_inline_locked(&mut sel, minted, parent, prevalidated, nonce);
-                outcome = o;
-                claimed = c;
-                own_panic = p;
-                resolved = true;
-            }
-            drop(sel);
-            // A claimed publication covers everything staged before it —
-            // including the drained batch above — so it must land before
-            // settlement delivers those statuses (publish-before-respond).
-            if let Some(claim) = claimed {
-                self.publish_claimed(claim);
-            }
-            self.settle_commit(settle, own_panic);
-            self.maybe_flatten();
-            self.run_pending_checkpoint();
-            if !resolved {
-                // Only reachable poisoned: a drain panic resumed inside
-                // `settle_commit` above and never returns here.
-                return Err(self.poison_error());
-            }
-            return self.guard_outcome(outcome);
-        }
-        let req = CommitReq::new(minted, parent, prevalidated, nonce);
-        // SAFETY: `req` lives on this stack frame, and we do not return
-        // until it is resolved; `take_all` unlinks it before any drainer
-        // dereferences it (see the queue's contract).
-        unsafe { self.queue.push(&req) };
-        // A drainer holds the lock right now (the try_lock above just
-        // failed). Donate the rest of this slice instead of immediately
-        // racing for the drain ticket: on a time-sliced core this is what
-        // lets peers enqueue behind us and the incumbent resolve the
-        // whole pile as one batch — without it, batches only form when
-        // the scheduler happens to preempt a lock holder.
-        std::thread::yield_now();
-        loop {
-            match req.poll() {
-                Some(Polled::Committed(id)) => return self.guard_outcome(Some(id)),
-                Some(Polled::Rejected) => return Ok(None),
-                Some(Polled::Poisoned) => return Err(self.poison_error()),
-                None => {}
-            }
-            // The drain ticket is the mutex acquisition itself: a
-            // *parked* waiter — not a spinning one — while a drainer is
-            // at work. The incumbent usually resolves us before we wake;
-            // a woken thread that is still pending becomes the next
-            // drainer for whatever queued meanwhile (combining-lock
-            // pattern, no scheduler convoy when the holder gets
-            // preempted). If our request was taken but its publication
-            // is still in flight (the taker is fsyncing in stage 2), the
-            // `publish_staged` inside `settle_commit` parks us on the
-            // publication lock — again parked, never spinning.
-            let settle = {
-                let mut sel = self.sel.lock();
-                self.drain_locked(&mut sel)
-            };
-            self.settle_commit(settle, None);
-            // Flattening and checkpoint IO run off the lock: parked
-            // appenders wake on commit latency, not on maintenance
-            // latency.
-            self.maybe_flatten();
-            self.run_pending_checkpoint();
-        }
+        // relaxed: stats counter, read only by pipeline_stats().
+        self.appends.fetch_add(1, Ordering::Relaxed);
+        let stage1 = {
+            let mut sel = self.sel.lock();
+            self.commit_locked(&mut sel, |sel| {
+                self.resolve_target_locked(sel.tip, minted, parent, prevalidated, nonce)
+                    .map(|id| (id, sel.tip))
+            })
+        };
+        let (outcome, panic) = stage1?;
+        self.finish_commit(outcome, panic)
     }
 
-    /// The inline stage-1 half of the two-speed `append`: the caller won
-    /// the selection mutex on its first CAS (and already drained any
-    /// queued batch), so resolve its mint right here and stage the
-    /// publication. The caller releases the lock, then settles —
-    /// publishes and, on the panic path, resumes the unwind.
+    /// Stage 1 of every commit, under the selection lock — the one path
+    /// [`append`](Self::append) and [`graft_minted`](Self::graft_minted)
+    /// share. `resolve` picks the block to commit and its parent against
+    /// the authoritative state, or `None` when `P` rejects; the block is
+    /// then inserted, folded into the selection with one `on_insert`, and
+    /// its publication staged in the same critical section. The caller
+    /// drops the lock and finishes with
+    /// [`finish_commit`](Self::finish_commit).
     ///
-    /// Mirrors the drain's panic contract: the outcome is recorded before
-    /// the membership insert runs, and if user code (`P::is_valid`,
-    /// `SelectionFn::on_insert`) panics after the insert, the selection
-    /// state is re-derived from the — always consistent — membership and
-    /// the batch staged anyway, so the tree stays serviceable and every
-    /// status the unwind leaves behind is covered by a publication. The
-    /// panic payload is *returned*, not resumed: the caller must first
-    /// drop the lock and publish (publish-before-respond is vacuous for
-    /// the appender itself — no response is delivered; `append` panics).
-    fn commit_inline_locked<'t>(
-        &'t self,
+    /// `Err` on a tree poisoned since the caller's entry check: nothing
+    /// further commits, since membership (hence stage-1 insert order)
+    /// must not grow past what the durable log can ever corroborate.
+    ///
+    /// User code (`P::is_valid` inside `resolve`, `SelectionFn::on_insert`)
+    /// runs shielded. The outcome is recorded before the membership
+    /// insert, and if user code panics after it, the selection state is
+    /// re-derived from the — always consistent — membership and the
+    /// commit staged anyway ([`rescue_and_stage`](Self::rescue_and_stage)),
+    /// so the tree stays serviceable and the block the unwind leaves in
+    /// the membership is covered by a publication. The panic payload is
+    /// *returned*, not resumed: the caller first drops the lock and
+    /// publishes, and the panicking commit itself delivers no response.
+    fn commit_locked(
+        &self,
         sel: &mut SelState,
-        minted: BlockId,
-        parent: BlockId,
-        prevalidated: bool,
-        nonce: u64,
-    ) -> (
-        Option<BlockId>,
-        Option<ClaimedPub<'t>>,
-        Option<Box<dyn std::any::Any + Send>>,
-    ) {
-        let mut committed: Option<BlockId> = None;
-        let tip_before = sel.tip;
+        resolve: impl FnOnce(&SelState) -> Option<(BlockId, BlockId)>,
+    ) -> Result<(Option<BlockId>, Option<Panic>), DurabilityError> {
+        if self.is_poisoned() {
+            return Err(self.poison_error());
+        }
+        let mut committed = None;
         let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            if let Some(id) =
-                self.resolve_target_locked(tip_before, minted, parent, prevalidated, nonce)
-            {
-                // Recorded before the user-code re-selection stage runs,
-                // exactly like the drain's `outcomes` vector.
+            if let Some((id, parent)) = resolve(sel) {
                 committed = Some(id);
-                self.insert_locked(sel, id, tip_before);
-                self.score_inserts_locked(sel, &[id], tip_before);
+                self.insert_locked(sel, id, parent);
+                self.score_insert_locked(sel, id);
             }
         }));
-        // relaxed: stats counter, read only by pipeline_stats().
-        self.inline_commits.fetch_add(1, Ordering::Relaxed);
-        match run {
-            Ok(()) => {
-                let claim = match committed {
-                    Some(id) => self.stage_inline_locked(sel, &[id]),
-                    None => None,
-                };
-                (committed, claim, None)
+        let panic = match (run, committed) {
+            (Ok(()), Some(id)) => {
+                self.stage_publication(sel, id);
+                None
             }
-            Err(payload) => {
-                if let Some(id) = committed {
-                    self.rescue_and_stage(sel, &[id]);
-                }
-                (committed, None, Some(payload))
+            (Err(payload), Some(id)) => {
+                self.rescue_and_stage(sel, id);
+                Some(payload)
             }
+            (run, None) => run.err(),
+        };
+        Ok((committed, panic))
+    }
+
+    /// The tail every commit shares, entered with the selection lock
+    /// released: stage 2 ([`publish_staged`](Self::publish_staged)),
+    /// then the panic stage 1 captured (if any) resumes, then the
+    /// off-lock maintenance runs — flattening and checkpoint IO, so the
+    /// next committer waits on commit latency, not maintenance latency —
+    /// and the outcome leaves through the degraded-mode exit check.
+    fn finish_commit(
+        &self,
+        outcome: Option<BlockId>,
+        panic: Option<Panic>,
+    ) -> Result<Option<BlockId>, DurabilityError> {
+        self.publish_staged();
+        if let Some(payload) = panic {
+            std::panic::resume_unwind(payload);
         }
+        self.maybe_flatten();
+        self.run_pending_checkpoint();
+        self.guard_outcome(outcome)
     }
 
     /// Mints `candidate` under an explicit committed `parent` (the refined
@@ -2518,56 +2410,29 @@ impl<F: SelectionFn, P: ValidityPredicate> ConcurrentBlockTree<F, P> {
             .store
             .parent(id)
             .expect("grafted blocks are not genesis");
-        let mut own_panic = None;
-        let settle = {
+        let stage1 = {
             let mut sel = self.sel.lock();
-            // Opportunistically resolve any pending batch first — grafts
-            // already paid for the lock, and queued appenders are parked
-            // on it.
-            let settle = self.drain_locked(&mut sel);
-            let drain_panicked = settle.as_ref().is_some_and(|s| s.panic.is_some());
-            // Like the inline append: a tree poisoned since the entry
-            // check inserts nothing further.
-            let halted = drain_panicked || self.is_poisoned();
-            if !halted && sel.tree.contains(id) {
+            if sel.tree.contains(id) {
                 // Duplicate graft: someone committed this block first
                 // (`P` is deterministic, so their validity verdict was
                 // the same one we just computed). Nothing to insert and
-                // nothing new to publish — the committer staged the
-                // covering batch inside the same critical section as its
-                // insert, so the `publish_staged` in `settle_commit`
-                // below returns only once that publication is in.
-                drop(sel);
-                self.settle_commit(settle, None);
-                return self.guard_outcome(Some(id));
+                // nothing new to stage — the committer staged the
+                // covering publication inside the same critical section
+                // as its insert, so the `publish_staged` in
+                // `finish_commit` returns only once it is in.
+                Ok((Some(id), None))
+            } else {
+                self.commit_locked(&mut sel, |sel| {
+                    assert!(
+                        sel.tree.contains(parent),
+                        "graft parent {parent} not committed to the tree"
+                    );
+                    Some((id, parent))
+                })
             }
-            if !halted {
-                assert!(
-                    sel.tree.contains(parent),
-                    "graft parent {parent} not committed to the tree"
-                );
-                // Shielded like the inline path: drained requests are
-                // still unsettled, so a user-code panic here must not
-                // unwind past the statuses we owe them.
-                let tip_before = sel.tip;
-                let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    self.insert_locked(&mut sel, id, parent);
-                    self.score_inserts_locked(&mut sel, &[id], tip_before);
-                }));
-                match run {
-                    Ok(()) => self.stage_publication(&mut sel, &[id]),
-                    Err(payload) => {
-                        self.rescue_and_stage(&mut sel, &[id]);
-                        own_panic = Some(payload);
-                    }
-                }
-            }
-            settle
         };
-        self.settle_commit(settle, own_panic);
-        self.maybe_flatten();
-        self.run_pending_checkpoint();
-        self.guard_outcome(Some(id))
+        let (outcome, panic) = stage1?;
+        self.finish_commit(outcome, panic)
     }
 
     /// Bounded incremental flattening, run on every commit path — off
@@ -2660,199 +2525,18 @@ impl<F: SelectionFn, P: ValidityPredicate> ConcurrentBlockTree<F, P> {
         }
     }
 
-    /// Stage 1 for every queued commit request, as one batch, under the
-    /// selection lock: per request a mint resolution (re-minting under
-    /// the authoritative tip if the optimistic parent went stale) and a
-    /// membership insert, then one *batched* selection-scoring pass over
-    /// the whole batch's inserts, then one staged publication record.
-    /// Publication itself (WAL, splice, length store) and the responses
-    /// are the caller's settlement duty, performed off this lock — see
-    /// [`DrainSettle`] and [`settle_commit`](Self::settle_commit).
-    ///
-    /// During resolution the evolving tip is tracked without consulting
-    /// the selection rule: a committed request always extends the tip it
-    /// was resolved under (the fast path requires it, the re-mint path
-    /// constructs it), and for every shipped rule an extension of the
-    /// selected tip is itself selected — chain rules score it strictly
-    /// higher or tie-winning by inherited lexicographic priority, and
-    /// GHOST's descent, having reached the parent, continues through its
-    /// only new child. The batched scoring pass re-derives the tip
-    /// through the rule afterwards and is authoritative; debug builds
-    /// cross-check both against the full-scan oracle.
-    fn drain_locked(&self, sel: &mut SelState) -> Option<DrainSettle> {
-        let batch = self.queue.take_all();
-        if batch.is_empty() {
-            return None;
-        }
-        if self.is_poisoned() {
-            // Degraded mode: the requests still get settled (owners are
-            // parked on these very statuses), but nothing is resolved or
-            // inserted — membership must not grow past what the durable
-            // log can corroborate. The empty outcomes vector makes
-            // settlement poison every request a prior publication does
-            // not already cover.
-            return Some(DrainSettle {
-                batch,
-                outcomes: Vec::new(),
-                panic: None,
-            });
-        }
-        let t0 = std::time::Instant::now();
-        // A committing request records its outcome *before* its
-        // membership insert runs, and the insert updates membership +
-        // commit log *before* the user-code scoring stage, so whatever
-        // panics inside user code (`P::is_valid`,
-        // `SelectionFn::on_insert`), the recorded outcomes always match
-        // the state the membership and commit log actually reached.
-        let mut outcomes: Vec<Option<BlockId>> = Vec::with_capacity(batch.len());
+    /// Folds one newly committed id into the selection aux with an
+    /// incremental `on_insert` and advances the authoritative tip. Runs
+    /// user code; [`commit_locked`](Self::commit_locked) shields it.
+    fn score_insert_locked(&self, sel: &mut SelState, id: BlockId) {
         let tip_before = sel.tip;
-        let mut pending_tip = tip_before;
-        let mut inserted: Vec<BlockId> = Vec::new();
-        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            for &req_ptr in &batch {
-                // SAFETY: `take_all` transferred ownership of the node;
-                // its enqueueing appender is blocked polling until we
-                // resolve it.
-                let req = unsafe { &*req_ptr };
-                let target = self.resolve_target_locked(
-                    pending_tip,
-                    req.minted,
-                    req.parent,
-                    req.prevalidated,
-                    req.nonce,
-                );
-                outcomes.push(target);
-                if let Some(id) = target {
-                    self.insert_locked(sel, id, pending_tip);
-                    pending_tip = id;
-                    inserted.push(id);
-                }
-            }
-            // One scoring pass for the whole batch — the user-code slice
-            // the old pipeline paid per insert.
-            self.score_inserts_locked(sel, &inserted, tip_before);
-            debug_assert_eq!(
-                sel.tip, pending_tip,
-                "a committed insert always extends the selected tip"
-            );
-        }));
-        let panic = match run {
-            Ok(()) => {
-                if !inserted.is_empty() {
-                    self.stage_publication(sel, &inserted);
-                }
-                None
-            }
-            Err(payload) => {
-                // User code panicked mid-batch. Membership and commit
-                // log are sound (see above), but the selection aux may
-                // be mid-update and nothing is staged — delivering a
-                // "committed" status now would hand a healthy appender
-                // a response no read can corroborate. Re-derive the
-                // selection state from the membership and stage the
-                // batch anyway, so every status the settlement delivers
-                // is covered by a publication; this also leaves the
-                // tree consistent for subsequent drains instead of
-                // degraded.
-                if !inserted.is_empty() {
-                    self.rescue_and_stage(sel, &inserted);
-                }
-                Some(payload)
-            }
+        let update = self
+            .selection
+            .on_insert(&self.store, &sel.tree, &mut sel.aux, id, tip_before);
+        sel.tip = match update {
+            TipUpdate::Unchanged => tip_before,
+            TipUpdate::Extended(t) | TipUpdate::Switched(t) => t,
         };
-        self.stat_drain_ns
-            .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed); // relaxed: stats counter
-        Some(DrainSettle {
-            batch,
-            outcomes,
-            panic,
-        })
-    }
-
-    /// Settles a commit episode with the selection lock released: runs
-    /// stage 2 ([`publish_staged`](Self::publish_staged)), then delivers
-    /// every status the drain recorded — publish-before-respond: the
-    /// publication covering those commits is readable by now — then
-    /// resumes whichever panic stage 1 captured.
-    fn settle_commit(
-        &self,
-        settle: Option<DrainSettle>,
-        own_panic: Option<Box<dyn std::any::Any + Send>>,
-    ) {
-        self.publish_staged();
-        if let Some(DrainSettle {
-            batch,
-            outcomes,
-            panic,
-        }) = settle
-        {
-            let poisoned = self.is_poisoned();
-            for (i, &req_ptr) in batch.iter().enumerate() {
-                // SAFETY: owners are still polling (they only return
-                // once a status lands), and only this settler holds the
-                // taken nodes; after `resolve` the node is never touched
-                // again by this thread.
-                let req = unsafe { &*req_ptr };
-                if req.poll().is_some() {
-                    continue;
-                }
-                if !poisoned {
-                    req.resolve(outcomes.get(i).copied().flatten());
-                    continue;
-                }
-                // Degraded mode: only statuses the durable log can
-                // corroborate may still be delivered — a commit covered
-                // by a pre-poisoning publication, or a volatile
-                // `P`-rejection (no durability claim to break). An
-                // uncovered insert, or a request the poisoned drain
-                // skipped outright, gets the poison status instead.
-                match outcomes.get(i).copied() {
-                    Some(Some(id)) if self.is_committed(id) => req.resolve(Some(id)),
-                    Some(None) => req.resolve(None),
-                    _ => req.resolve_poisoned(),
-                }
-            }
-            if let Some(payload) = panic {
-                std::panic::resume_unwind(payload);
-            }
-        }
-        if let Some(payload) = own_panic {
-            std::panic::resume_unwind(payload);
-        }
-    }
-
-    /// Folds a batch's newly committed ids into the selection aux and
-    /// advances the authoritative tip: one incremental `on_insert` for a
-    /// single insert; the sharded partition → score → merge → apply
-    /// pipeline of [`batch_score`] for anything larger. Runs user code;
-    /// callers shield it (the stage-1 panic contract).
-    fn score_inserts_locked(&self, sel: &mut SelState, inserted: &[BlockId], tip_before: BlockId) {
-        if inserted.is_empty() {
-            return;
-        }
-        let new_tip = if let [only] = inserted {
-            match self
-                .selection
-                .on_insert(&self.store, &sel.tree, &mut sel.aux, *only, tip_before)
-            {
-                TipUpdate::Unchanged => tip_before,
-                TipUpdate::Extended(t) | TipUpdate::Switched(t) => t,
-            }
-        } else {
-            let t0 = std::time::Instant::now();
-            let tip = batch_score(
-                &self.selection,
-                &self.store,
-                &sel.tree,
-                &mut sel.aux,
-                inserted,
-                tip_before,
-            );
-            self.stat_score_ns
-                .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed); // relaxed: stats counter
-            tip
-        };
-        sel.tip = new_tip;
         #[cfg(debug_assertions)]
         debug_assert_eq!(
             sel.tip,
@@ -2864,114 +2548,47 @@ impl<F: SelectionFn, P: ValidityPredicate> ConcurrentBlockTree<F, P> {
 
     /// Stage-1 panic recovery: re-derives the selection aux and tip from
     /// the — always consistent — membership with a full `select_tip`
-    /// scan, then stages the batch so its statuses are covered by a
-    /// publication. The rescan runs selection user code again, so it is
-    /// shielded: if it panics too, staging is skipped and responses fall
-    /// back to matching only the commit log (a tree whose selection
-    /// panics nondeterministically offers nothing stronger).
-    fn rescue_and_stage(&self, sel: &mut SelState, inserted: &[BlockId]) {
+    /// scan, then stages the commit so it is covered by a publication.
+    /// The rescan runs selection user code again, so it is shielded: if
+    /// it panics too, staging is skipped (a tree whose selection panics
+    /// nondeterministically offers nothing stronger).
+    fn rescue_and_stage(&self, sel: &mut SelState, id: BlockId) {
         let rescued = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             sel.aux.reset();
             self.selection.select_tip(&self.store, &sel.tree)
         }));
         if let Ok(tip) = rescued {
             sel.tip = tip;
-            self.stage_publication(sel, inserted);
+            self.stage_publication(sel, id);
         }
     }
 
     /// Stages a publication record covering everything committed so far
     /// — the stage-1 → stage-2 handoff. Runs under the selection lock
     /// (staging order is commit-log order) in the *same* critical
-    /// section as the batch's inserts: an observer that sees the
+    /// section as the commit's insert: an observer that sees the
     /// membership change (`is_committed`, a duplicate graft) can rely on
-    /// the covering batch already being staged, so its own
+    /// the covering record already being staged, so its own
     /// `publish_staged` suffices to wait the publication in.
-    fn stage_publication(&self, sel: &mut SelState, inserted: &[BlockId]) {
+    fn stage_publication(&self, sel: &SelState, id: BlockId) {
         let upto = sel.commit_log.len() as u64;
-        let ids = if self.durable {
-            inserted.to_vec()
-        } else {
-            Vec::new()
-        };
-        self.staged.lock().push(PubBatch {
+        self.staged.0.lock().push(PubBatch {
             upto,
             tip: sel.tip,
-            ids,
+            id: self.durable.then_some(id),
         });
         self.staged_upto.store(upto, Ordering::Release);
     }
 
-    /// [`stage_publication`](Self::stage_publication) with the inline
-    /// claim fast path: one non-blocking try for the publication lock —
-    /// `sel → publ` in *claim* order only, safe because no holder of
-    /// `publ` ever waits on `sel` — and on success the batch never
-    /// touches the staged queue: the caller publishes it directly after
-    /// releasing the selection lock. The uncontended append thereby pays
-    /// one lock pair per stage and zero allocation, while a busy
-    /// publisher (an fsync in flight) degrades gracefully to the queue.
-    fn stage_inline_locked<'t>(
-        &'t self,
-        sel: &mut SelState,
-        inserted: &[BlockId],
-    ) -> Option<ClaimedPub<'t>> {
-        let upto = sel.commit_log.len() as u64;
-        let ids = if self.durable {
-            inserted.to_vec()
-        } else {
-            Vec::new()
-        };
-        let batch = PubBatch {
-            upto,
-            tip: sel.tip,
-            ids,
-        };
-        let Some(mut publ) = self.publ.try_lock() else {
-            self.staged.lock().push(batch);
-            self.staged_upto.store(upto, Ordering::Release);
-            return None;
-        };
-        // Everything already staged publishes ahead of our batch, in the
-        // same run. Untaken staged batches always sit strictly above
-        // `published_upto` (runs are taken whole, in order), so a
-        // caught-up publication proves the queue is empty and the take —
-        // a mutex round trip — can be skipped. Both counters are stable
-        // here: stagers need `sel`, takers need `publ`, and we hold both.
-        let mut batches = std::mem::take(&mut publ.spare);
-        if self.published_upto.load(Ordering::Acquire) < self.staged_upto.load(Ordering::Acquire) {
-            std::mem::swap(&mut *self.staged.lock(), &mut batches);
-        }
-        batches.push(batch);
-        self.staged_upto.store(upto, Ordering::Release);
-        Some(ClaimedPub { publ, batches })
-    }
-
-    /// Stage 2 for a claimed inline publication, entered with the
-    /// selection lock already released. Untimed, like the inline drain:
-    /// per-append clock reads would tax exactly the path the pipeline
-    /// exists to keep cheap ([`PipelineStats`] counts it via
-    /// `inline_appends`).
-    fn publish_claimed(&self, claim: ClaimedPub<'_>) {
-        let ClaimedPub {
-            mut publ,
-            mut batches,
-        } = claim;
-        // A persistence failure latched the poison flag inside; the
-        // claimant's own exit check surfaces it as `DurabilityError`.
-        let _ = self.publish_batches_locked(&mut publ, &batches);
-        batches.clear();
-        publ.spare = batches;
-    }
-
-    /// Stage 2 of the commit pipeline: publishes every staged batch —
-    /// WAL group commit, in-place chain advance, length store (or swap
-    /// on a buffer change) — under the publication lock, with the
-    /// selection lock already released so the next drain proceeds
+    /// Stage 2 of every commit: publishes every staged record — WAL
+    /// group commit, in-place chain advance, length store (or swap on a
+    /// buffer change) — under the publication lock, with the selection
+    /// lock already released so the next commit's stage 1 proceeds
     /// concurrently.
     ///
-    /// Whoever holds the lock pops *all* staged batches, so batches
-    /// publish strictly in commit-log order no matter which thread ends
-    /// up publishing, and batches staged while a publisher was fsyncing
+    /// Whoever holds the lock pops *all* staged records, so they publish
+    /// strictly in commit-log order no matter which thread ends up
+    /// publishing, and records staged while a publisher was fsyncing
     /// collapse into its successor's single publication (one fsync, one
     /// length store). On return, everything the calling thread staged
     /// beforehand is covered by a publication — its own or another's.
@@ -2981,31 +2598,28 @@ impl<F: SelectionFn, P: ValidityPredicate> ConcurrentBlockTree<F, P> {
         }
         let mut publ = self.publ.lock();
         let mut batches = std::mem::take(&mut publ.spare);
-        std::mem::swap(&mut *self.staged.lock(), &mut batches);
+        std::mem::swap(&mut *self.staged.0.lock(), &mut batches);
         if batches.is_empty() {
-            // The previous holder popped our batch and published it
+            // The previous holder popped our record and published it
             // before releasing the lock we just acquired.
             publ.spare = batches;
             return;
         }
-        let t0 = std::time::Instant::now();
-        // Failure latches the poison flag inside; every settlement and
-        // exit check downstream reads it.
+        // Failure latches the poison flag inside; every commit's exit
+        // check downstream reads it.
         let _ = self.publish_batches_locked(&mut publ, &batches);
-        self.stat_publish_ns
-            .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed); // relaxed: stats counter
         batches.clear();
         publ.spare = batches;
     }
 
-    /// Decides where a staged mint lands against the authoritative tree
-    /// state, *without* touching membership: the original mint when its
-    /// optimistic parent is still `tip` (the evolving batch tip), else a
-    /// fresh re-mint under it. Returns the id to commit, or `None` when
-    /// `P` rejects (either mint stays a non-member arena orphan, as a
-    /// lost optimistic race always did). Runs user code (`P::is_valid`);
-    /// callers record the outcome before inserting — the panic contract
-    /// of the commit paths.
+    /// Decides where an optimistic mint lands against the authoritative
+    /// tree state, *without* touching membership: the original mint when
+    /// its optimistic parent is still `tip` (the selected tip under the
+    /// lock), else a fresh re-mint under it. Returns the id to commit,
+    /// or `None` when `P` rejects (either mint stays a non-member arena
+    /// orphan, as a lost optimistic race always did). Runs user code
+    /// (`P::is_valid`); [`commit_locked`](Self::commit_locked) records
+    /// the outcome before inserting — the stage-1 panic contract.
     fn resolve_target_locked(
         &self,
         tip: BlockId,
@@ -3040,8 +2654,8 @@ impl<F: SelectionFn, P: ValidityPredicate> ConcurrentBlockTree<F, P> {
 
     /// Membership insert + commit log + position index, under the
     /// selection lock. Scoring is separate
-    /// ([`score_inserts_locked`](Self::score_inserts_locked)) so a batch
-    /// pays one pass; publication is stage 2.
+    /// ([`score_insert_locked`](Self::score_insert_locked)) so the
+    /// membership is sound before user code runs; publication is stage 2.
     fn insert_locked(&self, sel: &mut SelState, id: BlockId, parent: BlockId) {
         sel.tree.insert_with_parent(Some(parent), id);
         sel.commit_log.push(id);
@@ -3062,7 +2676,7 @@ impl<F: SelectionFn, P: ValidityPredicate> ConcurrentBlockTree<F, P> {
     /// `published_upto`/tip store, no generation bump — so nothing any
     /// reader or waiter can observe ever gets ahead of durability. The
     /// tree is poisoned before this returns; callers surface the error
-    /// through their own exit checks and settlement.
+    /// through their own exit checks.
     fn publish_batches_locked(
         &self,
         publ: &mut PubState,
@@ -3071,32 +2685,30 @@ impl<F: SelectionFn, P: ValidityPredicate> ConcurrentBlockTree<F, P> {
         // Persist-then-ack: every commit this publication will expose
         // must be durable *before* the length store or swap makes it
         // readable — and that precedes the generation bump, the condvar
-        // wakeups, and every settlement status store, so nothing
-        // observable ever gets ahead of the fsync. One `append_batch`
-        // call per publication means one fsync covers every batch in the
-        // run: group commit riding the pipeline's natural cadence,
-        // encoding borrowed arena data straight into the WAL's reused
-        // scratch buffer — no per-record allocation, no payload clone.
-        // All commit paths — inline, drain, graft, recovery, and the
-        // panic-path rescue — funnel their batches through here, so this
-        // is the one choke point durability needs.
+        // wakeups, and every commit's return, so nothing observable ever
+        // gets ahead of the fsync. One `append_batch` call per
+        // publication means one fsync covers every record in the run:
+        // group commit riding the pipeline's natural cadence, encoding
+        // borrowed arena data straight into the WAL's reused scratch
+        // buffer — no per-record allocation, no payload clone. Every
+        // commit — append, graft, recovery, and the panic-path rescue —
+        // reaches here through `publish_staged`, so this is the one
+        // choke point durability needs.
         if let Some(ws) = publ.wal.as_mut() {
             let store = &self.store;
             let appended = ws.wal.append_batch(|framer| {
-                for batch in batches {
-                    for &id in &batch.ids {
-                        store.with_block(id, &mut |b| {
-                            framer.record(RecordRef {
-                                id,
-                                parent: b.parent.expect("committed blocks are never genesis"),
-                                producer: b.producer,
-                                merit_index: b.merit_index,
-                                work: b.work,
-                                digest: b.digest,
-                                payload: &b.payload,
-                            });
+                for id in batches.iter().filter_map(|batch| batch.id) {
+                    store.with_block(id, &mut |b| {
+                        framer.record(RecordRef {
+                            id,
+                            parent: b.parent.expect("committed blocks are never genesis"),
+                            producer: b.producer,
+                            merit_index: b.merit_index,
+                            work: b.work,
+                            digest: b.digest,
+                            payload: &b.payload,
                         });
-                    }
+                    });
                 }
             });
             if let Err(e) = appended {
@@ -3110,9 +2722,8 @@ impl<F: SelectionFn, P: ValidityPredicate> ConcurrentBlockTree<F, P> {
                 self.poison_with(err);
                 return Err(self.poison_error());
             }
-            for batch in batches {
-                publ.logged_ids.extend_from_slice(&batch.ids);
-            }
+            publ.logged_ids
+                .extend(batches.iter().filter_map(|batch| batch.id));
         }
         let last = batches
             .last()
@@ -3154,7 +2765,7 @@ impl<F: SelectionFn, P: ValidityPredicate> ConcurrentBlockTree<F, P> {
         self.published_upto.store(last.upto, Ordering::Release);
         // Generation-after-publication: the counter moves only once the
         // chain is visible, so a waiter that observes the new generation
-        // can already `read()` the chain that covers this batch run.
+        // can already `read()` the chain that covers this run.
         self.commit_gen.fetch_add(1, Ordering::SeqCst);
         if self.gen_waiters.load(Ordering::SeqCst) > 0 {
             // Lock-then-notify closes the check-then-park race: a waiter
@@ -3172,11 +2783,11 @@ impl<F: SelectionFn, P: ValidityPredicate> ConcurrentBlockTree<F, P> {
             // reader pinned at (or before) the swap has unpinned.
             let old = unsafe { Box::from_raw(old) };
             let bytes = std::mem::size_of::<PubChain>() + old.chain.approx_heap_bytes();
-            self.epochs.retire_box(bytes, old);
+            self.epochs.0.retire_box(bytes, old);
             // Swaps are rare (O(log n) doublings plus reorgs), so sweep
             // now: a superseded buffer is freed two swaps later instead
             // of waiting for the tree's drop.
-            self.epochs.try_reclaim();
+            self.epochs.0.try_reclaim();
             #[cfg(test)]
             {
                 publ.swaps += 1;
@@ -3360,14 +2971,14 @@ impl<F: SelectionFn, P: ValidityPredicate> ConcurrentBlockTree<F, P> {
             publ.logged_ids = log_mirror;
         }
         if !records.is_empty() {
-            // Stage the recovered chain with no new ids: the WAL append
+            // Stage the recovered chain with no new id: the WAL append
             // in stage 2 frames zero records (everything is already
             // durable), but the splice, the watermark raise, and the
             // tip/generation stores all run as on any commit.
-            tree.staged.lock().push(PubBatch {
+            tree.staged.0.lock().push(PubBatch {
                 upto: recovered_upto,
                 tip: recovered_tip,
-                ids: Vec::new(),
+                id: None,
             });
             tree.staged_upto.store(recovered_upto, Ordering::Release);
             tree.publish_staged();
@@ -3384,7 +2995,7 @@ impl<F: SelectionFn, P: ValidityPredicate> ConcurrentBlockTree<F, P> {
     }
 
     /// The current commit generation — advances by one with every chain
-    /// publication (batched drain, inline commit, or graft). Pair with
+    /// publication (which may cover several commits). Pair with
     /// [`wait_commit_past`](Self::wait_commit_past) to sleep until the
     /// tree moves instead of polling it.
     pub fn commit_generation(&self) -> u64 {
@@ -3460,27 +3071,19 @@ impl<F: SelectionFn, P: ValidityPredicate> ConcurrentBlockTree<F, P> {
     /// exposed for observability (`retired_bytes_peak`, pending garbage)
     /// and the churn stress tests.
     pub fn epochs(&self) -> &EpochDomain {
-        &self.epochs
+        &self.epochs.0
     }
 
-    /// Commit-pipeline counters (batch count, batched appends, largest
-    /// batch, inline fast-path commits) plus the stage timing totals:
-    /// `drain_lock_ns` (stage-1 batch drains, selection lock held),
-    /// `score_ns` (the batched-scoring slice of those drains), and
-    /// `publish_ns` (stage 2, publication lock held). Before this
-    /// pipeline split, everything in all three ran under the one
-    /// selection lock. The timings cover the queue paths only —
-    /// inline fast-path appends (counted by `inline_appends`) commit
-    /// and publish unclocked, so the ratios compare like with like.
+    /// Commit-pipeline counters: `inline_appends` counts the appends
+    /// that reached stage 1; every other field reads 0 (see
+    /// [`PipelineStats`]).
     pub fn pipeline_stats(&self) -> PipelineStats {
-        let mut stats = self.queue.stats();
-        // relaxed: approximate observability snapshot, counters are
-        // independent of each other and of the pipeline state.
-        stats.inline_appends = self.inline_commits.load(Ordering::Relaxed);
-        stats.drain_lock_ns = self.stat_drain_ns.load(Ordering::Relaxed); // relaxed: stats snapshot
-        stats.score_ns = self.stat_score_ns.load(Ordering::Relaxed); // relaxed: stats snapshot
-        stats.publish_ns = self.stat_publish_ns.load(Ordering::Relaxed); // relaxed: stats snapshot
-        stats
+        PipelineStats {
+            // relaxed: approximate observability snapshot, independent
+            // of the pipeline state.
+            inline_appends: self.appends.load(Ordering::Relaxed),
+            ..PipelineStats::default()
+        }
     }
 
     /// The membership commit order so far (parent-closed). Takes the
@@ -3830,8 +3433,8 @@ mod tests {
         assert!(full.is_prefix_of(&bt.read_owned()));
     }
 
-    /// Uncontended appends take the inline fast path: no queue traffic,
-    /// no batches — the pipeline counters must say so.
+    /// Every append reaches stage 1 and is counted there; the retired
+    /// queue counters read 0.
     #[test]
     fn uncontended_appends_commit_inline() {
         let bt = ConcurrentBlockTree::new(LongestChain, AcceptAll);
@@ -3842,7 +3445,7 @@ mod tests {
                 .is_some());
         }
         let stats = bt.pipeline_stats();
-        assert_eq!(stats.inline_appends, 50, "single appender never queues");
+        assert_eq!(stats.inline_appends, 50, "every append counted");
         assert_eq!(stats.batched_appends, 0);
         assert_eq!(stats.batches, 0);
         assert_eq!(bt.read().len(), 51);
@@ -3946,15 +3549,9 @@ mod tests {
         sorted.sort();
         sorted.dedup();
         assert_eq!(sorted.len(), log.len(), "no double commits");
-        // Every append resolved through exactly one of the two paths:
-        // inline (uncontended try_lock) or the staged queue.
+        // Every append issued reached stage 1, the one commit path.
         let stats = bt.pipeline_stats();
-        assert_eq!(
-            stats.inline_appends + stats.batched_appends,
-            (threads as u64) * per_thread
-        );
-        assert!(stats.batches <= stats.batched_appends);
-        assert_eq!(stats.batches == 0, stats.batched_appends == 0);
+        assert_eq!(stats.inline_appends, (threads as u64) * per_thread);
     }
 
     #[test]
@@ -4020,7 +3617,7 @@ mod tests {
     }
 
     /// A selection rule that panics on its nth membership insert —
-    /// injected user-code failure inside the drain's critical section.
+    /// injected user-code failure inside stage 1's critical section.
     struct PanicOnInsert {
         at: u32,
         seen: std::sync::atomic::AtomicU32,
@@ -4054,14 +3651,13 @@ mod tests {
         }
     }
 
-    /// A panic in user code inside the batch drain must kill only the
-    /// draining thread: every other appender whose request was already
-    /// taken off the queue gets resolved by the unwind path — recorded
-    /// outcomes (covered by the recovery publication) or rejected —
-    /// instead of spinning forever. Completion of this test is half the
-    /// assertion (before the unwind handling, the non-panicking threads
-    /// hung); the read-after-response check inside the appenders is the
-    /// other half.
+    /// A panic in user code inside stage 1 must kill only the append
+    /// that ran it: the other appenders keep committing instead of
+    /// hanging on a lock or a publication the unwind abandoned, and the
+    /// tree stays serviceable afterwards. Completion of this test is part
+    /// of the assertion (before the unwind handling, the non-panicking
+    /// threads hung); the read-after-response check inside the appenders
+    /// and the post-quiescence checks are the rest.
     #[test]
     fn drainer_panic_resolves_the_batch_instead_of_hanging() {
         use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -4080,9 +3676,8 @@ mod tests {
                     s.spawn(move || {
                         let mut mine = Vec::new();
                         for i in 0..4u64 {
-                            // The injected panic (and, in debug builds, the
-                            // cache-divergence asserts that follow it) stay
-                            // on whichever thread drains — catch and move on.
+                            // The injected panic stays on whichever thread
+                            // ran the fifth insert — catch and move on.
                             let r = catch_unwind(AssertUnwindSafe(|| {
                                 bt.append(CandidateBlock::simple(
                                     ProcessId(t),
@@ -4091,12 +3686,10 @@ mod tests {
                             }));
                             if let Ok(Ok(Some(id))) = r {
                                 // Publish-before-respond must survive the
-                                // panic path: a committed response, even
-                                // one delivered by the drainer's unwind
-                                // recovery, is covered by a publication
-                                // (longest-chain commits here form one
-                                // growing path, so later publications
-                                // only extend it).
+                                // panic path: a committed response is
+                                // covered by a publication (longest-chain
+                                // commits here form one growing path, so
+                                // later publications only extend it).
                                 assert!(
                                     bt.read().ids().contains(&id),
                                     "append responded committed but the \
@@ -4115,13 +3708,62 @@ mod tests {
         });
         // Every append call terminated (returned or panicked in place);
         // the pre-panic commits went through, and every id an append
-        // *reported* as committed really is in the commit log — even the
-        // ones whose statuses the unwind path delivered.
+        // *reported* as committed really is in the commit log.
         assert!(bt.len() >= 4, "pre-panic commits landed: {}", bt.len());
         let log: std::collections::HashSet<_> = bt.commit_log().into_iter().collect();
         for id in reported {
             assert!(log.contains(&id), "reported-committed {id} not in log");
         }
+        assert_panicked_tree_is_serviceable(&bt);
+    }
+
+    /// After a stage-1 panic the tree must still agree with itself and
+    /// accept work: published tip == full-scan tip, and a fresh append
+    /// commits and is readable.
+    fn assert_panicked_tree_is_serviceable<F: SelectionFn>(bt: &ConcurrentBlockTree<F, AcceptAll>) {
+        assert_eq!(bt.selected_tip(), bt.selected_tip_full_scan());
+        assert_eq!(bt.read().tip(), bt.selected_tip_full_scan());
+        let fresh = bt
+            .append(CandidateBlock::simple(ProcessId(7), 0xF4E5))
+            .unwrap()
+            .expect("a fresh append commits after the panic");
+        assert!(bt.read().ids().contains(&fresh), "fresh {fresh} unreadable");
+        assert_eq!(bt.selected_tip(), bt.selected_tip_full_scan());
+    }
+
+    /// The single path's unwind contract, pinned deterministically: the
+    /// append whose `on_insert` panics propagates the panic, but the
+    /// block it inserted is re-selected and published before the unwind
+    /// leaves `append` — so, straight after the panic and before any
+    /// other commit, the published tip is the full-scan tip and the
+    /// block is readable. The panic does not poison the tree.
+    #[test]
+    fn own_commit_panic_is_rescued_and_published() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let bt = ConcurrentBlockTree::new(
+            PanicOnInsert {
+                at: 3,
+                seen: std::sync::atomic::AtomicU32::new(0),
+            },
+            AcceptAll,
+        );
+        for i in 0..2 {
+            assert!(bt
+                .append(CandidateBlock::simple(ProcessId(0), i))
+                .unwrap()
+                .is_some());
+        }
+        let r = catch_unwind(AssertUnwindSafe(|| {
+            bt.append(CandidateBlock::simple(ProcessId(0), 2))
+        }));
+        assert!(r.is_err(), "the injected panic reaches the caller");
+        assert_eq!(bt.len(), 4, "the panicking commit stayed in the membership");
+        let inserted = *bt.commit_log().last().unwrap();
+        assert_eq!(bt.selected_tip_full_scan(), inserted);
+        assert_eq!(bt.read().tip(), inserted, "rescue published the insert");
+        assert!(bt.is_committed(inserted));
+        assert!(!bt.is_poisoned());
+        assert_panicked_tree_is_serviceable(&bt);
     }
 
     #[test]

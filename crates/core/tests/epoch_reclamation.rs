@@ -168,7 +168,7 @@ fn churn_stress_bounds_retired_bags_across_20_seeds() {
 
 /// Retirement lands in per-thread bag slots (no global garbage mutex).
 /// From the outside that must look like: (a) the pending peak of an
-/// uncontended (inline-path, one publication per append) run stays
+/// uncontended (one publication per append) run stays
 /// small — extensions retire nothing; (b) at quiescence, every slot
 /// drains to zero — no bag is stranded in a slot whose retiring thread
 /// has exited.

@@ -16,12 +16,13 @@
 //! finds the bug and that the failing schedule replays deterministically
 //! — the smoke test that the tool bites.
 //!
-//! The kernels for suites 2–4 mirror `concurrent.rs` line-for-line in
+//! The kernels for suites 2–3 mirror `concurrent.rs` line-for-line in
 //! miniature (same lock split, same counters, same orderings) rather
 //! than driving the full `ConcurrentBlockTree`, whose arena and scoring
 //! machinery would multiply schedule points without adding
-//! interleavings of the protocol under test. Suite 1 drives the real
-//! `EpochDomain`.
+//! interleavings of the protocol under test. Suite 2 is every commit's
+//! path: stage under `sel` (`commit_locked` → `stage_publication`), drop
+//! `sel`, then `publish_staged`. Suite 1 drives the real `EpochDomain`.
 
 #![cfg(btadt_model)]
 
@@ -278,8 +279,9 @@ fn epoch_grace_mutant_is_caught() {
 
 /// The two-stage pipeline in miniature: `sel` guards the commit log and
 /// staging order, `publ` guards publication; whoever holds `publ` pops
-/// *all* staged batches and publishes them in order. Mirrors
-/// `stage_publication` + `publish_staged` in `concurrent.rs`.
+/// *all* staged batches and publishes them in order. Mirrors the one
+/// commit path in `concurrent.rs`: `commit_locked` + `stage_publication`
+/// under `sel`, then `publish_staged` once `sel` is dropped.
 struct Pipe {
     sel: Mutex<u64>,
     staged: Mutex<Vec<u64>>,
@@ -300,7 +302,8 @@ impl Pipe {
     }
 
     /// Stage 1: commit one entry and stage its covering batch, under
-    /// `sel` (staging order is commit-log order).
+    /// `sel` (staging order is commit-log order), then drop `sel` — no
+    /// `publ` acquisition of any kind inside the region.
     fn commit_one(&self) -> u64 {
         let mut log_len = self.sel.lock();
         *log_len += 1;
@@ -312,13 +315,17 @@ impl Pipe {
     }
 
     /// Stage 2: drain every staged batch under `publ`. The caught-up
-    /// fast path is the same two-counter probe the real code uses.
+    /// fast path is the same two-counter probe the real code uses, and
+    /// an empty pop means a predecessor already published our batch.
     fn publish_staged(&self) {
         if self.published_upto.load(Ordering::SeqCst) >= self.staged_upto.load(Ordering::SeqCst) {
             return;
         }
         let mut chain = self.publ.lock();
         let batches = std::mem::take(&mut *self.staged.lock());
+        if batches.is_empty() {
+            return;
+        }
         self.publish_batches(&mut chain, &batches);
     }
 
@@ -392,113 +399,7 @@ fn staged_publication_mutant_is_caught() {
 }
 
 // =====================================================================
-// Suite 3: the inline fast-path claim — `publ.try_lock` under `sel`
-// loses no publication and cannot deadlock.
-// =====================================================================
-
-impl Pipe {
-    /// Stage 1 with the inline claim: one *non-blocking* try for `publ`
-    /// inside the `sel` region (claim order only — legal because no
-    /// holder of `publ` ever waits on `sel`); on success the batch skips
-    /// the staged queue and is published right after `sel` drops.
-    /// Mirrors `stage_inline_locked` + `publish_claimed`.
-    fn commit_one_inline(&self) -> u64 {
-        let mut log_len = self.sel.lock();
-        *log_len += 1;
-        let upto = *log_len;
-        match self.publ.try_lock() {
-            Some(mut chain) => {
-                let mut batches = std::mem::take(&mut *self.staged.lock());
-                batches.push(upto);
-                self.staged_upto.store(upto, Ordering::SeqCst);
-                drop(log_len);
-                self.publish_batches(&mut chain, &batches);
-            }
-            None => {
-                self.staged.lock().push(upto);
-                self.staged_upto.store(upto, Ordering::SeqCst);
-                drop(log_len);
-                self.publish_staged();
-            }
-        }
-        upto
-    }
-
-    /// Mutant: the claim acquires `publ` *blocking* inside the `sel`
-    /// region — the exact lock-order violation `btadt-lint` flags.
-    fn commit_one_inline_blocking(&self) -> u64 {
-        let mut log_len = self.sel.lock();
-        *log_len += 1;
-        let upto = *log_len;
-        let mut chain = self.publ.lock();
-        let mut batches = std::mem::take(&mut *self.staged.lock());
-        batches.push(upto);
-        self.staged_upto.store(upto, Ordering::SeqCst);
-        drop(log_len);
-        self.publish_batches(&mut chain, &batches);
-        upto
-    }
-
-    /// A publisher-side helper that holds `publ` while briefly needing
-    /// `sel` — the "no holder of `publ` ever waits on `sel`" assumption
-    /// broken, which only the *blocking* claim turns into an AB-BA.
-    fn audit_under_both(&self) {
-        let chain = self.publ.lock();
-        let log_len = self.sel.lock();
-        assert!(chain.len() as u64 <= *log_len, "published past the log");
-        drop(log_len);
-        drop(chain);
-    }
-}
-
-fn inline_claim_body(broken: bool) {
-    let pipe = Arc::new(Pipe::new());
-    let committers: Vec<_> = (0..2)
-        .map(|_| {
-            let pipe = pipe.clone();
-            thread::spawn(move || {
-                let upto = if broken {
-                    pipe.commit_one_inline_blocking()
-                } else {
-                    pipe.commit_one_inline()
-                };
-                assert!(
-                    pipe.published_upto.load(Ordering::SeqCst) >= upto,
-                    "returned with own batch unpublished"
-                );
-            })
-        })
-        .collect();
-    let auditor = {
-        let pipe = pipe.clone();
-        thread::spawn(move || pipe.audit_under_both())
-    };
-    for c in committers {
-        c.join();
-    }
-    auditor.join();
-    assert_eq!(pipe.published_upto.load(Ordering::SeqCst), 2);
-    assert!(pipe.staged.lock().is_empty(), "staged batch stranded");
-}
-
-#[test]
-fn inline_claim_loses_nothing_and_never_deadlocks() {
-    let report = explore(Config::new("inline-claim").preemptions(3), || {
-        inline_claim_body(false)
-    });
-    certify(&report);
-}
-
-#[test]
-fn inline_claim_blocking_mutant_deadlocks() {
-    let report = explore(Config::new("inline-claim-blocking").preemptions(3), || {
-        inline_claim_body(true)
-    });
-    certify_bite(&report, &FailureKind::Deadlock, || inline_claim_body(true));
-}
-
-// =====================================================================
-// Suite 4: `wait_commit_past` — the lock-bridge publication notify
+// Suite 3: `wait_commit_past` — the lock-bridge publication notify
 // cannot miss a waiter.
 // =====================================================================
 

@@ -317,12 +317,13 @@ fn concurrent_runs_replay_to_identical_selection_ghost() {
     }
 }
 
-/// Mixed inline/staged commits replay identically: a solo phase (every
-/// append takes the uncontended inline fast path — no queue) followed by
-/// a contended phase (appends race, some riding the staged queue), then
-/// the whole commit log replays through the sequential machinery to the
-/// identical chain. The pipeline counters prove both paths actually ran;
-/// the replay proves the paths are observationally one.
+/// Solo and contended commits replay identically: a solo phase (one
+/// appender, every publication its own) followed by a contended phase
+/// (appends race on the selection lock, and a publisher may pop several
+/// staged commits at once), then the whole commit log replays through
+/// the sequential machinery to the identical chain. The pipeline counter
+/// proves every append issued reached stage 1; the replay proves the
+/// phases are observationally one.
 #[test]
 fn mixed_inline_and_staged_commits_replay_identically() {
     use btadt_core::blocktree::CandidateBlock;
@@ -331,20 +332,18 @@ fn mixed_inline_and_staged_commits_replay_identically() {
 
     for seed in 0..6u64 {
         let cbt = ConcurrentBlockTree::new(LongestChain, AcceptAll);
-        // Solo phase: 30 appends from one thread — all inline.
+        // Solo phase: 30 appends from one thread.
         for i in 0..30u64 {
             cbt.append(CandidateBlock::simple(ProcessId(0), i).with_work(1 + (seed + i) % 3))
                 .expect("AcceptAll");
         }
         let solo = cbt.pipeline_stats();
-        assert_eq!(solo.inline_appends, 30, "seed {seed}: solo phase is inline");
+        assert_eq!(solo.inline_appends, 30, "seed {seed}: solo phase counted");
         assert_eq!(
             solo.batched_appends, 0,
-            "seed {seed}: solo phase never queues"
+            "seed {seed}: the retired queue counter reads 0"
         );
-        // Contended phase: 4 racing appenders — inline when the lock is
-        // free, staged when a drainer holds it (the split depends on the
-        // scheduler; the sum may not).
+        // Contended phase: 4 racing appenders.
         std::thread::scope(|s| {
             for t in 1..5u32 {
                 let cbt = &cbt;
@@ -360,11 +359,10 @@ fn mixed_inline_and_staged_commits_replay_identically() {
         });
         let stats = cbt.pipeline_stats();
         assert_eq!(
-            stats.inline_appends + stats.batched_appends,
-            110,
-            "seed {seed}: every append resolved on exactly one path"
+            stats.inline_appends, 110,
+            "seed {seed}: every append issued reached stage 1"
         );
-        // Replay the commit log sequentially: both paths linearized into
+        // Replay the commit log sequentially: both phases linearized into
         // one insert order that reproduces the published chain.
         let store = cbt.snapshot_store();
         let log = cbt.commit_log();

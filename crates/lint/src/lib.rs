@@ -13,14 +13,14 @@
 //!    stating why the weakest ordering is enough. The model explorer
 //!    runs under sequential consistency, so relaxed sites are exactly
 //!    the ones it cannot vouch for. Scope: `crates/core/src/`.
-//! 3. **`lock-order`** — no *blocking* acquisition of the publication
-//!    lock (`.publ.lock()`) while a selection-lock guard is live, and
-//!    none at all inside `*_locked` functions (which run under `sel` by
-//!    contract). The inline fast path's `publ.try_lock()` is the only
-//!    legal publication-claim under `sel`; a blocking acquire there
-//!    deadlocks against any publisher that touches `sel` (the AB-BA the
-//!    `inline-claim-blocking` model suite exhibits). Scope:
-//!    `crates/core/src/concurrent.rs`.
+//! 3. **`lock-order`** — no acquisition of the publication lock of any
+//!    kind (`.publ.lock()` or `.publ.try_lock()`) while a selection-lock
+//!    guard is live, and none at all inside `*_locked` functions (which
+//!    run under `sel` by contract). Every commit stages under `sel` and
+//!    publishes after dropping it; a blocking acquire under `sel`
+//!    deadlocks against any publisher that touches `sel` (an AB-BA), and
+//!    a non-blocking one is a second commit path this rule keeps out.
+//!    Scope: `crates/core/src/concurrent.rs`.
 //! 4. **`wal-confinement`** — WAL append calls (`.append_batch(`,
 //!    `.append_commits(`) appear in exactly one place,
 //!    `publish_batches_locked`: the persist-then-ack step of stage 2.
@@ -399,17 +399,25 @@ fn enclosing_fn(spans: &[(String, usize, usize)], line: usize) -> Option<&str> {
         .map(|(n, _, _)| n.as_str())
 }
 
+/// The publication-lock acquisition on `line`, if any: `.publ.lock(` or
+/// `.publ.try_lock(`.
+fn publ_acquire(line: &str) -> Option<&'static str> {
+    [".publ.lock(", ".publ.try_lock("]
+        .into_iter()
+        .find(|needle| line.contains(needle))
+}
+
 /// Rule 3: lock ordering between the selection and publication locks.
 pub fn check_lock_order(file: &Path, s: &Stripped) -> Vec<Finding> {
     let mut out = Vec::new();
     let spans = fn_spans(&s.code);
 
-    // (a) `*_locked` functions run under `sel` by contract: no blocking
+    // (a) `*_locked` functions run under `sel` by contract: no
     // publication acquire anywhere inside them.
     for (ln, line) in s.code.iter().enumerate() {
-        if !line.contains(".publ.lock(") {
+        let Some(acquire) = publ_acquire(line) else {
             continue;
-        }
+        };
         if let Some(name) = enclosing_fn(&spans, ln) {
             if name.ends_with("_locked") {
                 out.push(Finding {
@@ -417,10 +425,9 @@ pub fn check_lock_order(file: &Path, s: &Stripped) -> Vec<Finding> {
                     line: ln + 1,
                     rule: "lock-order",
                     msg: format!(
-                        "blocking `.publ.lock()` inside `{name}` — `*_locked` \
-                         functions run under the selection lock; use \
-                         `try_lock` (the inline claim) or move the acquire \
-                         out of the `sel` region"
+                        "`{acquire}` inside `{name}` — `*_locked` functions \
+                         run under the selection lock; publish after the \
+                         caller drops `sel`"
                     ),
                 });
             }
@@ -429,7 +436,7 @@ pub fn check_lock_order(file: &Path, s: &Stripped) -> Vec<Finding> {
 
     // (b) Region tracking: a `let <g> = ....sel.lock()` binding opens a
     // selection region that ends at `drop(<g>)` or when the binding's
-    // brace scope closes. Any `.publ.lock(` inside is a violation.
+    // brace scope closes. Any publication acquire inside is a violation.
     struct Region {
         guard: String,
         depth: i32,
@@ -444,16 +451,15 @@ pub fn check_lock_order(file: &Path, s: &Stripped) -> Vec<Finding> {
                 .iter()
                 .any(|&p| line[p..].starts_with(&format!("drop({})", r.guard)))
         });
-        if line.contains(".publ.lock(") {
+        if let Some(acquire) = publ_acquire(line) {
             for r in &regions {
                 out.push(Finding {
                     file: file.to_path_buf(),
                     line: ln + 1,
                     rule: "lock-order",
                     msg: format!(
-                        "blocking `.publ.lock()` while selection guard \
-                         `{}` (line {}) is live — only `publ.try_lock()` \
-                         may run under `sel`",
+                        "`{acquire}` while selection guard `{}` (line {}) \
+                         is live — drop `sel` before touching `publ`",
                         r.guard,
                         r.line + 1
                     ),
@@ -695,11 +701,22 @@ mod tests {
     }
 
     #[test]
-    fn lock_order_allows_try_lock_and_post_drop_acquire() {
-        let ok = "\
+    fn lock_order_flags_try_lock_and_allows_post_drop_acquire() {
+        let bad = "\
             fn stage(&self) {\n\
                 let mut sel = self.sel.lock();\n\
                 let claim = self.publ.try_lock();\n\
+                drop(sel);\n\
+                let publ = self.publ.lock();\n\
+            }\n";
+        let f = lint_str(check_lock_order, bad);
+        assert_eq!(f.len(), 1, "only the try_lock under `sel`: {f:?}");
+        assert_eq!(f[0].rule, "lock-order");
+        assert_eq!(f[0].line, 3);
+        assert!(f[0].msg.contains(".publ.try_lock("));
+        let ok = "\
+            fn stage(&self) {\n\
+                let mut sel = self.sel.lock();\n\
                 drop(sel);\n\
                 let publ = self.publ.lock();\n\
             }\n\
@@ -715,12 +732,13 @@ mod tests {
     #[test]
     fn lock_order_flags_publ_in_locked_suffix_fn() {
         let bad = "\
-            fn stage_inline_locked(&self) {\n\
+            fn commit_locked(&self) {\n\
                 let publ = self.publ.lock();\n\
+                let claim = self.publ.try_lock();\n\
             }\n";
         let f = lint_str(check_lock_order, bad);
-        assert_eq!(f.len(), 1);
-        assert!(f[0].msg.contains("stage_inline_locked"));
+        assert_eq!(f.len(), 2);
+        assert!(f.iter().all(|f| f.msg.contains("commit_locked")));
     }
 
     #[test]
@@ -842,20 +860,26 @@ mod tests {
 
     #[test]
     fn mutation_blocking_inline_claim_is_flagged() {
-        // Turn the inline claim's `try_lock` into a blocking `lock()` —
-        // the sel→publ deadlock the model suite exhibits dynamically.
+        // Claim the publication lock inside `append`'s `sel` region —
+        // the sel→publ order that deadlocks against any publisher that
+        // touches `sel`, and the shape of the deleted inline claim.
         let (path, src) = core_src("concurrent.rs");
-        let needle = "self.publ.try_lock()";
-        assert!(
-            src.contains(needle),
-            "inline claim moved; update the lint mutation test"
-        );
-        let mutated = src.replacen(needle, "Some(self.publ.lock())", 1);
+        let at = src
+            .find("pub fn append(")
+            .expect("append moved; update the lint mutation test");
+        let needle = "let mut sel = self.sel.lock();";
+        let open = at
+            + src[at..]
+                .find(needle)
+                .expect("append's `sel` region moved; update the lint mutation test");
+        let end = open + needle.len();
+        let mut mutated = src.clone();
+        mutated.insert_str(end, "\n            let _claim = self.publ.lock();");
         let before = lint_file(&path, &src).len();
         let after = lint_file(&path, &mutated);
         assert!(
             after.len() > before,
-            "blocking inline claim not flagged: {after:?}"
+            "publication claim under `sel` not flagged: {after:?}"
         );
         assert!(after.iter().any(|f| f.rule == "lock-order"));
     }

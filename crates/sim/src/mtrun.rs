@@ -19,8 +19,8 @@
 //! consistency criteria (Local Monotonic Read et al.), or replayed
 //! differentially — the checker is the oracle, not an assertion of intent
 //! inside the implementation. The same suites ran unchanged across the
-//! move to the staged commit pipeline: batching is invisible to the
-//! recorded evidence, which is the point.
+//! commit-pipeline rewrites: how commits reach publication is invisible
+//! to the recorded evidence, which is the point.
 //!
 //! Workloads run in `rounds` separated by a barrier: within a round all
 //! threads race freely; between rounds the system is quiescent. That gives
@@ -114,10 +114,11 @@ pub struct MtRun {
     /// Thm. 3.2 k-fork coherence of the shared oracle, when one gated the
     /// run (`None` for un-mined workloads).
     pub fork_coherent: Option<bool>,
-    /// Commit-pipeline counters at the end of the run: how the appends
-    /// split across the inline and queued paths, and how long the two
-    /// pipeline stages held their locks (`drain_lock_ns` / `score_ns` /
-    /// `publish_ns`).
+    /// Commit-pipeline counters at the end of the run. Only
+    /// `inline_appends` (appends that reached stage 1 — every append
+    /// except a definitive rejection under a still-published tip) has a
+    /// producer; the other fields read 0, since every commit runs one
+    /// unclocked path.
     pub pipeline: PipelineStats,
 }
 
@@ -673,8 +674,8 @@ pub struct ConsensusRun {
     /// snapshot, log merge, history construction) — what a throughput
     /// number should divide by.
     pub threads_wall: std::time::Duration,
-    /// Commit-pipeline counters at the end of the run (inline/queued
-    /// split and the two-stage lock timings).
+    /// Commit-pipeline counters at the end of the run (only
+    /// `inline_appends` has a producer; see [`MtRun::pipeline`]).
     pub pipeline: PipelineStats,
 }
 

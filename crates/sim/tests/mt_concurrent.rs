@@ -50,10 +50,10 @@ fn recorded_histories_linearize_across_20_seeds_longest_chain() {
     }
 }
 
-/// The uncontended inline fast path (one appender: every commit skips
-/// the queue) must be indistinguishable from the staged path in the
-/// recorded evidence — same checker, same verdict, across seeds and with
-/// readers racing the inline publications.
+/// The uncontended commit path (one appender: every publication its
+/// own) must be indistinguishable from the contended one in the recorded
+/// evidence — same checker, same verdict, across seeds and with readers
+/// racing the publications.
 #[test]
 fn inline_fast_path_histories_linearize_across_seeds() {
     for seed in 600..612u64 {
@@ -260,9 +260,8 @@ fn frugal_token_gate_smoke() {
 
 /// Fork-heavy GHOST stress for the two-stage commit pipeline: 4 appenders
 /// extending the selected tip race 2 forkers grafting at random depths of
-/// the published chain, so drained batches regularly span several
-/// subtrees and the sharded scoring path (partition → merge → one apply)
-/// carries real reorg pressure. The oracle is the replay: the commit log
+/// the published chain, so commits regularly land off the selected chain
+/// and GHOST's incremental `on_insert` carries real reorg pressure. The oracle is the replay: the commit log
 /// folded serially through the sequential machinery must land on the
 /// published chain bit-for-bit, and the published tip must equal the
 /// full-scan selection.
